@@ -5,8 +5,8 @@
 //   seed       — the pre-panel per-line implementation (embedded below),
 //   panel      — the rebuilt sweeps pinned to the scalar kernel tier,
 //   dispatched — the same sweeps through the active ISA tier (AVX2 here),
-//                level-fused by default; a dispatched_unfused row isolates
-//                the level-fusion gain.
+//                with the level-fused traversal; a dispatched@257 row
+//                measures it on a field beyond the LLC.
 //
 // `dispatched vs seed` is the headline number the issue tracks (>= 4x on
 // AVX2); `panel vs seed` isolates the restructuring from the vectorization.
@@ -552,39 +552,6 @@ f64 best_self_timed(F&& fn, int reps) {
   return best;
 }
 
-// Self-timed A/B pair: the two thunks alternate within every rep (and swap
-// order between reps) so frequency drift and neighbor load on a noisy shared
-// host hit both sides equally. Each side keeps its own best for the MB/s
-// rows; the A-vs-B gain is the median of per-rep ratios, the robust paired
-// estimator — a load burst lands on both sides of a rep (they run back to
-// back) and the median discards the reps where it landed on only one.
-struct PairBest {
-  f64 a = 1e300, b = 1e300;
-  f64 median_ratio_b_over_a = 0.0;
-};
-template <typename FA, typename FB>
-PairBest best_self_timed_pair(FA&& fa, FB&& fb, int reps) {
-  PairBest r;
-  std::vector<f64> ratio;
-  ratio.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    f64 ta, tb;
-    if ((i & 1) == 0) {
-      ta = fa();
-      tb = fb();
-    } else {
-      tb = fb();
-      ta = fa();
-    }
-    r.a = std::min(r.a, ta);
-    r.b = std::min(r.b, tb);
-    ratio.push_back(tb / ta);
-  }
-  std::sort(ratio.begin(), ratio.end());
-  r.median_ratio_b_over_a = ratio[ratio.size() / 2];
-  return r;
-}
-
 // Paired variant for A/B comparisons on a noisy shared host: the two thunks
 // alternate within every rep (and swap order between reps) so frequency drift
 // and neighbor load hit both sides equally; each side keeps its own best.
@@ -849,8 +816,7 @@ int main_impl(int argc, char** argv) {
   // --- whole transform, single thread ---
   // Measured before the per-kernel table: minutes of sustained AVX2 soak
   // drag the core's sustained frequency down, which compresses the
-  // memory-vs-compute deltas (level fusion in particular) that this section
-  // exists to resolve. Print order below is unchanged.
+  // memory-vs-compute deltas that this section exists to resolve. Print order below is unchanged.
   const Dims dims{129, 129, 129};
   const u32 levels = 4;
   const GridHierarchy h(dims, levels);
@@ -860,7 +826,6 @@ int main_impl(int argc, char** argv) {
   const int reps = 5;
 
   std::vector<TransformResult> transforms;
-  f64 fuse_dec = 0.0, fuse_rec = 0.0;  // median paired unfused/fused ratios
   std::vector<f64> coeffs = field;  // decomposed form, reused by all variants
   seedref::decompose(coeffs, h);
 
@@ -906,63 +871,36 @@ int main_impl(int argc, char** argv) {
     simd::set_isa_override(std::nullopt);
   }
   {
-    // Fused vs unfused at the same tier, measured interleaved: the fusion
-    // delta is a few percent of a ~15 ms transform, which only survives a
-    // noisy neighbor when the two variants alternate inside one timing loop.
-    mgard::DecomposeOptions unfusedopt;
-    unfusedopt.level_fusion = false;
-    TransformResult rf, ru;
-    rf.name = "dispatched";
-    ru.name = "dispatched_unfused";
+    // Best of many reps: the transform is ~15 ms, so a noisy neighbor only
+    // shows in a minority of them.
+    TransformResult r;
+    r.name = "dispatched";
     const int freps = 31;
-    const PairBest dec_pair = best_self_timed_pair(
+    r.decompose_mbps = mb / best_self_timed(
         [&] {
           return timed(field,
                        [&](auto& v) { mgard::decompose(v, h, {}, nullptr, &ws); });
         },
-        [&] {
-          return timed(field, [&](auto& v) {
-            mgard::decompose(v, h, unfusedopt, nullptr, &ws);
-          });
-        },
         freps);
-    const PairBest rec_pair = best_self_timed_pair(
+    r.recompose_mbps = mb / best_self_timed(
         [&] {
           return timed(coeffs,
                        [&](auto& v) { mgard::recompose(v, h, {}, nullptr, &ws); });
         },
-        [&] {
-          return timed(coeffs, [&](auto& v) {
-            mgard::recompose(v, h, unfusedopt, nullptr, &ws);
-          });
-        },
         freps);
-    rf.decompose_mbps = mb / dec_pair.a;
-    rf.recompose_mbps = mb / rec_pair.a;
-    ru.decompose_mbps = mb / dec_pair.b;
-    ru.recompose_mbps = mb / rec_pair.b;
-    fuse_dec = dec_pair.median_ratio_b_over_a;
-    fuse_rec = rec_pair.median_ratio_b_over_a;
-    transforms.push_back(rf);
-    transforms.push_back(ru);
+    transforms.push_back(r);
   }
-  // Level fusion in its target regime. The 129^3 working set (17 MB) is
-  // LLC-resident on typical server parts, so the full-field strided pass that
-  // fusion removes is nearly free there and the gain above reads ~1.0x. At
-  // 257^3 (135 MB) every unfused level re-streams the field from DRAM, which
-  // is the traffic fusion eliminates.
+  // Beyond the LLC: the 129^3 working set (17 MB) is LLC-resident on typical
+  // server parts, while at 257^3 (135 MB) every level streams from DRAM.
   const Dims xdims{257, 257, 257};
   const u32 xlevels = 5;
   const GridHierarchy hx(xdims, xlevels);
   const f64 xmb = static_cast<f64>(hx.padded().total() * sizeof(f64)) / 1e6;
-  f64 fuse_dec_xl = 0.0, fuse_rec_xl = 0.0;  // best-vs-best, paired loop
   {
     const auto xfield = random_field(hx.padded().total(), 78);
     mgard::RefactorWorkspace ws;
     std::vector<f64> xcoeffs = xfield;
     mgard::decompose(xcoeffs, hx, {}, nullptr, &ws);
-    mgard::DecomposeOptions unfusedopt;
-    unfusedopt.level_fusion = false;
     std::vector<f64> w;
     const auto timed = [&](const std::vector<f64>& src, auto&& run) {
       w = src;
@@ -970,40 +908,22 @@ int main_impl(int argc, char** argv) {
       run(w);
       return t.seconds();
     };
-    TransformResult rf, ru;
-    rf.name = "dispatched@257";
-    ru.name = "dispatched_unfused@257";
+    TransformResult r;
+    r.name = "dispatched@257";
     const int xreps = 13;
-    const PairBest dec_pair = best_self_timed_pair(
+    r.decompose_mbps = xmb / best_self_timed(
         [&] {
           return timed(xfield,
                        [&](auto& v) { mgard::decompose(v, hx, {}, nullptr, &ws); });
         },
-        [&] {
-          return timed(xfield, [&](auto& v) {
-            mgard::decompose(v, hx, unfusedopt, nullptr, &ws);
-          });
-        },
         xreps);
-    const PairBest rec_pair = best_self_timed_pair(
+    r.recompose_mbps = xmb / best_self_timed(
         [&] {
           return timed(xcoeffs,
                        [&](auto& v) { mgard::recompose(v, hx, {}, nullptr, &ws); });
         },
-        [&] {
-          return timed(xcoeffs, [&](auto& v) {
-            mgard::recompose(v, hx, unfusedopt, nullptr, &ws);
-          });
-        },
         xreps);
-    rf.decompose_mbps = xmb / dec_pair.a;
-    rf.recompose_mbps = xmb / rec_pair.a;
-    ru.decompose_mbps = xmb / dec_pair.b;
-    ru.recompose_mbps = xmb / rec_pair.b;
-    fuse_dec_xl = dec_pair.b / dec_pair.a;
-    fuse_rec_xl = rec_pair.b / rec_pair.a;
-    transforms.push_back(rf);
-    transforms.push_back(ru);
+    transforms.push_back(r);
   }
 
   // --- per-kernel table ---
@@ -1038,12 +958,6 @@ int main_impl(int argc, char** argv) {
   std::printf("\nspeedup vs seed: decompose %.2fx, recompose %.2fx, "
               "combined %.2fx (panel restructuring alone: %.2fx)\n",
               sp_dec, sp_rec, sp_total, sp_panel);
-  std::printf("level fusion gain (dispatched vs dispatched_unfused, median "
-              "paired ratio): decompose %.2fx, recompose %.2fx\n",
-              fuse_dec, fuse_rec);
-  std::printf("level fusion gain at 257x257x257 L=%u (135 MB, beyond LLC): "
-              "decompose %.2fx, recompose %.2fx\n",
-              xlevels, fuse_dec_xl, fuse_rec_xl);
 
   // --- entropy codec, single thread ---
   u64 codec_segments = 0;
@@ -1125,12 +1039,6 @@ int main_impl(int argc, char** argv) {
     std::fprintf(f, "  \"codec_decode_speedup_vs_seed\": %.3f,\n",
                  codec_dec_sp);
     std::fprintf(f, "  \"codec_combined_speedup_vs_seed\": %.3f,\n", codec_sp);
-    std::fprintf(f, "  \"level_fusion_decompose_gain\": %.3f,\n", fuse_dec);
-    std::fprintf(f, "  \"level_fusion_recompose_gain\": %.3f,\n", fuse_rec);
-    std::fprintf(f, "  \"level_fusion_decompose_gain_xl\": %.3f,\n",
-                 fuse_dec_xl);
-    std::fprintf(f, "  \"level_fusion_recompose_gain_xl\": %.3f,\n",
-                 fuse_rec_xl);
     std::fprintf(f, "  \"speedup_decompose_vs_seed\": %.3f,\n", sp_dec);
     std::fprintf(f, "  \"speedup_recompose_vs_seed\": %.3f,\n", sp_rec);
     std::fprintf(f, "  \"speedup_combined_vs_seed\": %.3f,\n", sp_total);

@@ -145,10 +145,9 @@ int cmd_prepare(int argc, char** argv) {
               report.plane_encode_seconds, report.optimize_seconds,
               report.encode_seconds, report.store_seconds);
   print_codec_stats("encode", report.plane_codec);
-  std::printf("  streaming: %u level%s overlapped encode/store; simulated "
-              "end-to-end prepare latency %.3fs\n",
-              report.levels_streamed, report.levels_streamed == 1 ? "" : "s",
-              report.prepare_latency);
+  std::printf("  simulated end-to-end prepare latency %.3fs (%zu levels "
+              "overlapped encode/store)\n",
+              report.prepare_latency, report.record.ft.size());
   return 0;
 }
 
@@ -241,9 +240,9 @@ int cmd_restore(int argc, char** argv) {
               report.reconstruct_seconds);
   print_codec_stats("decode", report.plane_codec);
   if (report.levels_streamed > 0)
-    std::printf("  streamed %u level%s; first bytes after %.3fs wall\n",
+    std::printf("  fetched %u level%s over the WAN, %u from the restore cache\n",
                 report.levels_streamed, report.levels_streamed == 1 ? "" : "s",
-                report.first_byte_seconds);
+                report.cache_hits);
   return 0;
 }
 

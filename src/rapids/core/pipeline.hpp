@@ -96,21 +96,10 @@ struct PipelineConfig {
 
   // --- streaming dataflow (fragment-granular pipelining) ---
 
-  /// Stream prepare and restore at retrieval-level/stripe granularity:
-  /// prepare erasure-codes and distributes each level as the refactorer
-  /// materializes it (a bounded channel connects the stages), restore decodes
-  /// and merges each level as its fragment quorum lands instead of waiting
-  /// for the full gather. Outputs are byte-identical to the staged path at
-  /// every level prefix; false restores the staged flow (the bench baseline).
-  bool streaming = true;
   /// Stripe width for the fragment-granular RS encode and the streamed WAN
   /// puts: stripe s of a level encodes (and ships) while stripe s+1 is still
   /// in flight and later levels still refactor.
   u64 stream_stripe_bytes = 256 * 1024;
-  /// Bounded capacity (in retrieval levels) of the refactor -> encode ->
-  /// distribute channel: the refactorer stalls (backpressure) once this many
-  /// materialized levels are waiting on downstream stages.
-  u32 stream_level_window = 2;
 };
 
 /// Storage-key name of one encoding generation of an object: generation 0
@@ -154,11 +143,9 @@ struct PrepareReport {
   f64 storage_overhead = 0.0;    ///< Eq. 6 (parity bytes / original bytes)
   f64 network_overhead = 0.0;    ///< shipped bytes / original bytes
   f64 distribution_latency = 0;  ///< simulated WAN latency (equal share)
-  /// End-to-end prepare latency: wall time of the compute stages plus the
-  /// simulated WAN distribution. Streaming overlaps the two — each level's
-  /// puts start while later levels still refactor — so this is
-  /// max_j(store-start wall of level j + level j's simulated latency);
-  /// staged pays the full compute wall plus the whole-plan latency.
+  /// End-to-end prepare latency: each level's puts start while later levels
+  /// still refactor, so this is max_j(store-start wall of level j + level
+  /// j's simulated WAN latency) plus the simulated retry backoff.
   f64 prepare_latency = 0.0;
   f64 refactor_seconds = 0.0;       ///< transform + plane encode + assemble
   f64 transform_seconds = 0.0;      ///< widen/pad/multigrid share of refactor
@@ -167,14 +154,13 @@ struct PrepareReport {
   /// bytes, and the raw/sparse/zero/Rice mode histogram.
   mgard::CodecStats plane_codec;
   f64 optimize_seconds = 0.0;
-  f64 encode_seconds = 0.0;  ///< RS encode (streaming: summed across levels,
-                             ///< which overlap, so the sum may exceed wall)
-  f64 store_seconds = 0.0;   ///< distribution puts (streaming: summed)
+  f64 encode_seconds = 0.0;  ///< RS encode, summed across levels (they
+                             ///< overlap, so the sum may exceed wall)
+  f64 store_seconds = 0.0;   ///< distribution puts, summed across levels
   u64 fragments_stored = 0;
   u32 put_retries = 0;       ///< transient put failures absorbed by retry
   u32 relocations = 0;       ///< fragments re-placed after persistent failure
   f64 backoff_seconds = 0.0; ///< simulated backoff charged to distribution
-  u32 levels_streamed = 0;   ///< levels shipped through the streaming channel
   u32 stream_fallback_puts = 0;  ///< streamed puts that fell back to a
                                  ///< whole-fragment retry after a mid-stream
                                  ///< fault or outage
@@ -197,14 +183,11 @@ struct RestoreReport {
   f64 gather_latency = 0.0;     ///< simulated WAN latency actually observed
                                 ///< (stragglers, hedges, retry backoff folded
                                 ///< in; equals the plan latency when healthy)
-  /// Simulated time until retrieval level 1 was decodable — the streamed
-  /// restore's time-to-first-byte. 0 when level 1 came from the restore
-  /// cache; equals gather_latency on the staged path (nothing is usable
-  /// before the full gather lands).
+  /// Simulated time until the first retrieval level this call added (level
+  /// 1 for a restore) was decodable: its fragment quorum landed, stragglers,
+  /// hedges and backoff folded in. 0 when that level came from the restore
+  /// cache or nothing was added.
   f64 first_level_latency = 0.0;
-  /// Wall time from restore start until the first (level-1) approximation
-  /// was reconstructed and available to the caller.
-  f64 first_byte_seconds = 0.0;
   f64 planning_seconds = 0.0;   ///< optimizer wall time
   f64 fetch_seconds = 0.0;      ///< wall time in the fragment-fetch stage
   f64 decode_seconds = 0.0;
@@ -226,8 +209,9 @@ struct RestoreReport {
   u32 cache_misses = 0;         ///< levels that had to be fetched
   u32 cache_corrupt = 0;        ///< cached levels evicted on CRC mismatch
   bool plan_reused = false;     ///< gathering plan reused from the session
-  u32 levels_streamed = 0;      ///< levels delivered incrementally as their
-                                ///< fragment quorum landed (streaming restore)
+  u32 levels_streamed = 0;      ///< levels fetched and decoded one by one as
+                                ///< their fragment quorum landed (cached
+                                ///< levels excluded)
 };
 
 /// Per-call resource bounds for one restore/refine. `sim_budget_s` is the
@@ -305,7 +289,11 @@ class RapidsPipeline {
   /// plane.
   f64 nominal_failure_prob() const;
 
-  /// Full data-preparation phase for one object.
+  /// Full data-preparation phase for one object. The refactorer hands each
+  /// retrieval level to stripe-granular RS encode and distribution as it
+  /// materializes, so level j's WAN puts start while level j+1 still
+  /// refactors. With a pool the levels ride a bounded channel; without one
+  /// each level is encoded and stored inline.
   PrepareReport prepare(std::span<const f32> data, mgard::Dims dims,
                         const std::string& name);
 
@@ -320,7 +308,8 @@ class RapidsPipeline {
   /// Falls back to the serial loop when no pool was injected.
   std::vector<PrepareReport> prepare_batch(std::span<const PrepareRequest> requests);
 
-  /// Full data-restoration phase under the cluster's *current* availability.
+  /// Full data-restoration phase under the cluster's *current* availability:
+  /// a one-shot refine of a fresh session to the object's deepest level.
   /// Transient fetch failures and in-flight corruption are retried with
   /// deterministic backoff; stragglers are hedged against sibling fragment
   /// holders; if a planned fragment stays missing or damaged, the affected
@@ -335,11 +324,12 @@ class RapidsPipeline {
   /// hedges — see RestoreOptions).
   RestoreReport restore(const std::string& name, const RestoreOptions& opts);
 
-  /// Restore a batch of objects concurrently (one task per object; planning,
-  /// erasure decode, and reconstruction overlap across objects, while the
-  /// metadata/fragment fetch stage is serialized internally). Safe to run
-  /// concurrently with prepare_batch on the same pipeline. Reconstructed data
-  /// is byte-identical to serial restore() calls. Reports in request order.
+  /// Restore a batch of objects concurrently (one restore() task per object;
+  /// planning, erasure decode, and reconstruction overlap across objects,
+  /// while the metadata/fragment fetch stage is serialized internally). Safe
+  /// to run concurrently with prepare_batch on the same pipeline.
+  /// Reconstructed data is byte-identical to serial restore() calls. Reports
+  /// in request order.
   std::vector<RestoreReport> restore_batch(std::span<const std::string> names);
 
   /// Open a progressive-refinement session for `name`. refine() on the
@@ -353,8 +343,8 @@ class RapidsPipeline {
   /// restore cache, fetch only the uncached levels past the cursor (reusing
   /// the session's gathering plan while bandwidth estimates have not drifted
   /// past plan_reuse_bw_tolerance), decode only the new bitplanes, and
-  /// recompose. The returned field is byte-identical to a from-scratch
-  /// restore of the same level prefix. If outages put the requested bound
+  /// recompose. The returned field is byte-identical to a one-shot
+  /// reconstruct of the same level prefix. If outages put the requested bound
   /// out of reach, the rung degrades to the deepest reachable level —
   /// possibly the session's current state — instead of throwing.
   RestoreReport refine(RefineSession& session, f64 rel_bound);
@@ -476,9 +466,9 @@ class RapidsPipeline {
 
   /// Phase 1 of a migration step: re-encode one level payload with parity
   /// count `m_new` and store its fragments under generation `generation`'s
-  /// keys (streaming puts when the pipeline streams, with the usual retry /
-  /// relocate / health machinery). The object's live record is untouched —
-  /// restores keep serving the old generation. Re-running the same call
+  /// keys (streamed puts with the usual retry / relocate / health
+  /// machinery). The object's live record is untouched — restores keep
+  /// serving the old generation. Re-running the same call
   /// overwrites the same keys, so phase-1 resume after a crash is a plain
   /// replay. Returns fragment bytes shipped.
   u64 store_level_generation(const std::string& name, u32 generation,
@@ -501,24 +491,12 @@ class RapidsPipeline {
   u64 gc_generation(const std::string& name, u32 generation);
 
  private:
-  /// Single-object bodies shared by the serial and batch entry points. The
-  /// compute stages run lock-free; every touch of shared state (cluster
-  /// stores/fetches, metadata reads/writes, the bandwidth tracker) happens
-  /// under io_mu_. Invariant: code holding io_mu_ never calls into the pool
-  /// (a helping waiter could steal a task that needs the same lock).
-  PrepareReport do_prepare(std::span<const f32> data, mgard::Dims dims,
-                           const std::string& name);
-  /// The staged flow: refactor everything, optimize, encode every level,
-  /// then distribute — the pre-streaming baseline (config_.streaming off).
-  PrepareReport do_prepare_staged(std::span<const f32> data, mgard::Dims dims,
-                                  const std::string& name);
-  /// The streaming flow: retrieval levels ride a bounded channel from the
-  /// refactorer into stripe-granular RS encode and distribution, so level
-  /// j's WAN puts start while level j+1 still refactors. Stored bytes,
-  /// metadata record, and report.record are byte-identical to the staged
-  /// flow's.
-  PrepareReport do_prepare_streaming(std::span<const f32> data,
-                                     mgard::Dims dims, const std::string& name);
+  // prepare() and restore() bodies run their compute stages lock-free;
+  // every touch of shared state (cluster stores/fetches, metadata
+  // reads/writes, the bandwidth tracker) happens under io_mu_. Invariant:
+  // code holding io_mu_ never calls into the pool (a helping waiter could
+  // steal a task that needs the same lock).
+
   /// Outcome counters of one level's fragment distribution.
   struct StoreStats {
     u64 fragments_stored = 0;
@@ -529,15 +507,20 @@ class RapidsPipeline {
     std::vector<net::Transfer> transfers;  ///< (target system, bytes) per put
   };
   /// Distribute one level's fragments (placement, retry, relocation, health,
-  /// per-level location batch). Caller holds io_mu_. stripe_bytes > 0 ships
-  /// each fragment through a streamed put in stripes of that size, falling
-  /// back to the whole-fragment retry path on a mid-stream fault;
-  /// stripe_bytes == 0 is the staged whole-fragment put.
+  /// per-level location batch). Caller holds io_mu_. Each fragment ships
+  /// through a streamed put in stream_stripe_bytes stripes, falling back to
+  /// the whole-fragment retry path on a mid-stream fault.
   void store_level_locked(const std::string& name, u32 level,
                           const std::vector<ec::Fragment>& frags,
-                          u64 stripe_bytes, StoreStats& stats);
-  RestoreReport do_restore(const std::string& name,
-                           const RestoreOptions& opts = {});
+                          StoreStats& stats);
+  /// The body of refine() and restore(): advance `session` to the fewest
+  /// levels whose bound meets `rel_bound`, or to the object's deepest level
+  /// when `rel_bound` is nullopt. Leaves the field in session.data_ (the
+  /// report's data stays empty). The caller holds session.mu_ or owns the
+  /// session outright.
+  RestoreReport advance_session(RefineSession& session,
+                                std::optional<f64> rel_bound,
+                                const RestoreOptions& opts);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
   net::BandwidthTracker& tracker();
   void persist_tracker();

@@ -461,7 +461,6 @@ void decompose(std::vector<T>& data, const GridHierarchy& h,
   // at relative stride 1. The scatter into `data` stays: the coefficients
   // must land there for gather_level. Two buffers ping-pong so the gather
   // never reads the buffer it writes.
-  const bool fuse = opt.level_fusion;
   const T* prev = data.data();
   Dims prev_dims = pdims;
   u64 prev_rel = 2;  // relative stride of the next grid within `prev`
@@ -475,17 +474,12 @@ void decompose(std::vector<T>& data, const GridHierarchy& h,
       w = data.data();
       if (adims.nx > 1) cascade_axis(w, adims, 0, /*forward=*/true, pool);
     } else {
-      std::vector<T>& cur = (fuse && flip) ? bufs.active2 : bufs.active;
-      if (fuse) flip = !flip;
+      std::vector<T>& cur = flip ? bufs.active2 : bufs.active;
+      flip = !flip;
       cur.resize(adims.total());
       w = cur.data();
-      if (fuse) {
-        gather_active_cascade(prev, prev_dims, w, adims, prev_rel,
-                              adims.nx > 1, pool);
-      } else {
-        gather_active_cascade(data.data(), pdims, w, adims, stride,
-                              adims.nx > 1, pool);
-      }
+      gather_active_cascade(prev, prev_dims, w, adims, prev_rel, adims.nx > 1,
+                            pool);
     }
     if (adims.ny > 1) cascade_axis(w, adims, 1, true, pool);
     if (adims.nz > 1) cascade_axis(w, adims, 2, true, pool);
@@ -493,7 +487,7 @@ void decompose(std::vector<T>& data, const GridHierarchy& h,
     if (opt.l2_correction) {
       const auto [z, cdims] = compute_correction(w, adims, work, pool);
       T* tap = nullptr;
-      if (fuse && stride == 1 && t < h.levels()) {
+      if (stride == 1 && t < h.levels()) {
         // Fused step 1 -> 2 hand-off: the correction is the last writer of
         // exactly the stride-2 sub-grid step 2 gathers, so tap the corrected
         // values into a compact buffer as they are produced. Step 2 then
@@ -543,8 +537,7 @@ void recompose(std::vector<T>& data, const GridHierarchy& h,
   // array in place), which also lands every coarser level's final values:
   // their nodes are a subset of step 2's grid. One fewer full-field write
   // pass per level; values and order are identical, so output is
-  // bit-identical to the unfused traversal.
-  const bool fuse = opt.level_fusion;
+  // bit-identical to a per-level padded-array round trip.
   T* pending = nullptr;
   Dims pending_dims{};
   bool flip = false;
@@ -555,8 +548,8 @@ void recompose(std::vector<T>& data, const GridHierarchy& h,
     if (stride == 1) {
       w = data.data();
     } else {
-      std::vector<T>& cur = (fuse && flip) ? bufs.active2 : bufs.active;
-      if (fuse) flip = !flip;
+      std::vector<T>& cur = flip ? bufs.active2 : bufs.active;
+      flip = !flip;
       cur.resize(adims.total());
       w = cur.data();
       if (pending != nullptr)
@@ -581,7 +574,7 @@ void recompose(std::vector<T>& data, const GridHierarchy& h,
     if (adims.ny > 1) cascade_axis(w, adims, 1, false, pool);
     if (stride == 1) {
       if (adims.nx > 1) cascade_axis(w, adims, 0, false, pool);
-    } else if (fuse && t > 2) {
+    } else if (t > 2) {
       pending = w;
       pending_dims = adims;
     } else {

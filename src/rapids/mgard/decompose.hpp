@@ -52,16 +52,6 @@ struct DecomposeOptions {
   /// Apply the L2 correction (true = full MGARD-style projection; false =
   /// plain hierarchical interpolation basis). Ablated in bench/ablation.
   bool l2_correction = true;
-  /// Level-fused traversal: hand each step's active grid to the next step
-  /// directly instead of bouncing it through the full padded array, so
-  /// consecutive levels touch an L2-resident compact buffer rather than
-  /// re-striding the whole field. Decompose gathers step t >= 3 from the
-  /// step t-1 active buffer (relative stride 2); recompose defers the step
-  /// t >= 3 scatter and injects the processed grid into the next gathered
-  /// buffer. Pure data-movement change: output is bit-identical either way
-  /// (kernel_test pins fused == unfused). Off switches back to the padded-
-  /// array round trip per level.
-  bool level_fusion = true;
 };
 
 /// In-place multilevel decomposition of `data` (padded extents of `h`).

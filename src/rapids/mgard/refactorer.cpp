@@ -11,7 +11,7 @@ namespace rapids::mgard {
 
 u64 RefactoredObject::refactored_bytes() const {
   u64 total = 0;
-  for (const auto& l : levels) total += l.payload.size();
+  for (const auto& l : levels) total += l.payload_bytes;
   return total;
 }
 
@@ -35,7 +35,7 @@ Bytes RefactoredObject::serialize_metadata() const {
   }
   w.put_u32(static_cast<u32>(levels.size()));
   for (const auto& l : levels) {
-    w.put_u64(l.payload.size());
+    w.put_u64(l.payload_bytes);
     w.put_f64(l.abs_error_bound);
     w.put_f64(l.rel_error_bound);
   }
@@ -70,7 +70,7 @@ RefactoredObject RefactoredObject::deserialize_metadata(
     throw io_error("RefactoredObject: bad retrieval-level count");
   o.levels.resize(nl);
   for (auto& l : o.levels) {
-    (void)r.get_u64();  // payload size: informational, payloads travel apart
+    l.payload_bytes = r.get_u64();  // the payload itself travels apart
     l.abs_error_bound = r.get_f64();
     l.rel_error_bound = r.get_f64();
   }

@@ -55,7 +55,7 @@ struct RefactoredObject {
   u64 refactored_bytes() const;
 
   /// Payload size of retrieval level j (0-based) — the paper's s_{j+1}.
-  u64 level_bytes(u32 j) const { return levels.at(j).payload.size(); }
+  u64 level_bytes(u32 j) const { return levels.at(j).payload_bytes; }
 
   /// Guaranteed relative L-infinity error when reconstructing from the first
   /// j retrieval levels (j >= 1) — the paper's e_j.
@@ -64,7 +64,9 @@ struct RefactoredObject {
   /// Serialize everything except the payloads (for the metadata store).
   Bytes serialize_metadata() const;
 
-  /// Inverse of serialize_metadata(); `levels[i].payload` stay empty.
+  /// Inverse of serialize_metadata(); `levels[i].payload` stay empty while
+  /// `levels[i].payload_bytes` keep the recorded sizes, so re-serializing
+  /// reproduces the input bytes.
   static RefactoredObject deserialize_metadata(std::span<const std::byte> data);
 };
 

@@ -128,6 +128,7 @@ RetrievalLevel materialize_retrieval_level(
   lvl.payload = writer.take();
   RAPIDS_REQUIRE_MSG(lvl.payload.size() == plan.payload_bytes,
                      "materialize: payload size disagrees with the plan");
+  lvl.payload_bytes = plan.payload_bytes;
   lvl.abs_error_bound = plan.abs_error_bound;
   lvl.rel_error_bound = plan.rel_error_bound;
   lvl.segments = std::move(refs);

@@ -33,6 +33,9 @@ struct SegmentRef {
 /// segments) plus the guaranteed error bounds after consuming levels 1..j.
 struct RetrievalLevel {
   Bytes payload;
+  /// Serialized payload size: payload.size() when the payload is present,
+  /// and still the recorded size when metadata travels without it.
+  u64 payload_bytes = 0;
   f64 abs_error_bound = 0.0;  ///< absolute L-infinity bound using levels 1..j
   f64 rel_error_bound = 0.0;  ///< abs bound / max|original data|
   std::vector<SegmentRef> segments;  ///< index (also recoverable from payload)

@@ -2,8 +2,8 @@
 
 /// \file bytes.hpp
 /// Byte-buffer builder and cursor for little-endian binary serialization.
-/// Used by the fragment headers, the self-describing container (fsdf), and
-/// the key-value store's on-disk records. All multi-byte integers are stored
+/// Used by the fragment headers, the metadata records, and the key-value
+/// store's on-disk records. All multi-byte integers are stored
 /// little-endian regardless of host order.
 
 #include <cstring>

@@ -68,6 +68,12 @@ struct GenCase {
   f64 min_ok, max_ok;  // plausible physical range
 };
 
+// Printed into the CTest name; the default byte dump would embed the
+// addresses of `name` and `fn`, which ASLR changes on every test discovery.
+void PrintTo(const GenCase& gc, std::ostream* os) {
+  *os << gc.name << " range=[" << gc.min_ok << ", " << gc.max_ok << "]";
+}
+
 class GeneratorTest : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(GeneratorTest, DeterministicAndInRange) {

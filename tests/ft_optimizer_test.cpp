@@ -94,6 +94,12 @@ struct HeuristicCase {
   f64 budget;
 };
 
+// Printed into the CTest name; the default byte dump would embed the address
+// of `name`, which ASLR changes on every test discovery.
+void PrintTo(const HeuristicCase& hc, std::ostream* os) {
+  *os << hc.name << " base_size=" << hc.base_size << " budget=" << hc.budget;
+}
+
 class HeuristicVsBruteForce : public ::testing::TestWithParam<HeuristicCase> {};
 
 TEST_P(HeuristicVsBruteForce, SameOptimum) {

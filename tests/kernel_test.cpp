@@ -906,28 +906,5 @@ TEST(Codec, PooledStatsAndBytesMatchSerial) {
   EXPECT_EQ(dec_serial.bytes, dec_pooled.bytes);
 }
 
-// The level-fused traversal is a pure data-movement change: toggling
-// DecomposeOptions::level_fusion must not move a single bit, pooled or not.
-TEST(Codec, FusedTraversalBitIdenticalToUnfused) {
-  ThreadPool pool(4);
-  DecomposeOptions fused;    // level_fusion defaults on
-  DecomposeOptions unfused;
-  unfused.level_fusion = false;
-  for (const Shape& sh : kShapes) {
-    const GridHierarchy h(sh.dims, sh.levels);
-    const auto field = random_field<f64>(h.padded().total(), 404);
-    std::vector<f64> a = field, b = field;
-    decompose(a, h, fused, &pool);
-    decompose(b, h, unfused, &pool);
-    EXPECT_TRUE(BytesEqual(a, b))
-        << "decompose " << sh.dims.nx << "x" << sh.dims.ny << "x" << sh.dims.nz;
-    std::vector<f64> ra = a, rb = a;
-    recompose(ra, h, fused, &pool);
-    recompose(rb, h, unfused, &pool);
-    EXPECT_TRUE(BytesEqual(ra, rb))
-        << "recompose " << sh.dims.nx << "x" << sh.dims.ny << "x" << sh.dims.nz;
-  }
-}
-
 }  // namespace
 }  // namespace rapids::mgard

@@ -576,6 +576,14 @@ struct RefactorCase {
   bool correction;
 };
 
+// Printed into the CTest name; the default byte dump would embed the address
+// of `name`, which ASLR changes on every test discovery.
+void PrintTo(const RefactorCase& rc, std::ostream* os) {
+  *os << rc.name << " dims=" << rc.dims.nx << "x" << rc.dims.ny << "x"
+      << rc.dims.nz << " levels=" << rc.decomp_levels
+      << " correction=" << rc.correction;
+}
+
 class RefactorerTest : public ::testing::TestWithParam<RefactorCase> {};
 
 TEST_P(RefactorerTest, ProgressiveBoundsHold) {

@@ -192,6 +192,27 @@ TEST_F(PipelineTest, ObjectRecordSerializationRoundTrip) {
   EXPECT_EQ(back.meta.name, "rt");
 }
 
+TEST_F(PipelineTest, StoredRecordReserializesToTheSameBytes) {
+  // deserialize(b).serialize() == b for the stored v2 record, including the
+  // per-level payload sizes the metadata carries without the payloads.
+  RapidsPipeline pipeline(*cluster_, *db_, fast_config());
+  const Dims dims{17, 17, 9};
+  const auto field = data::nyx_velocity(dims, 8);
+  const auto prep = pipeline.prepare(field, dims, "rt");
+  const auto raw = db_->get("obj/rt");
+  ASSERT_TRUE(raw.has_value());
+  const auto* p = reinterpret_cast<const std::byte*>(raw->data());
+  const Bytes stored(p, p + raw->size());
+  const auto back = ObjectRecord::deserialize(stored);
+  EXPECT_EQ(back.serialize(), stored);
+  EXPECT_EQ(pipeline.lookup("rt")->serialize(), stored);
+  EXPECT_EQ(prep.record.serialize(), stored);
+  for (u32 j = 0; j < back.level_sizes.size(); ++j) {
+    EXPECT_TRUE(back.meta.levels[j].payload.empty());
+    EXPECT_EQ(back.meta.level_bytes(j), back.level_sizes[j]) << "level " << j;
+  }
+}
+
 TEST_F(PipelineTest, CauchyMatrixVariantWorksEndToEnd) {
   auto cfg = fast_config();
   cfg.matrix_kind = ec::MatrixKind::kCauchy;

@@ -106,6 +106,12 @@ struct CatalogCase {
   bool correction;
 };
 
+// Printed into the CTest name; the default byte dump would embed the address
+// of `label`, which ASLR changes on every test discovery.
+void PrintTo(const CatalogCase& cc, std::ostream* os) {
+  *os << cc.label << " seed=" << cc.seed << " correction=" << cc.correction;
+}
+
 class CatalogBounds : public ::testing::TestWithParam<CatalogCase> {};
 
 TEST_P(CatalogBounds, BoundsHoldOnEveryPrefix) {
