@@ -1,14 +1,20 @@
 #!/usr/bin/env bash
-# Run the benchmark suite: microbenchmarks → BENCH_micro.json (google-
-# benchmark's JSON format) and the batch-pipeline throughput bench →
-# BENCH_pipeline.json, so the perf trajectory is tracked across PRs.
+# Re-record the benchmark files that bench/ owns. The end-to-end ledger is
+# perfbench/ (python3 perfbench/run.py); these four benches keep what has no
+# other home there:
+#   chaos_resilience → BENCH_chaos.json     restore under transient faults and
+#                                           stragglers, hedged reads on/off
+#   refactor_kernels → BENCH_refactor.json  multigrid row kernels, transform
+#                                           and plane-codec throughput
+#   control_plane    → BENCH_control.json   drift re-optimization drill and
+#                                           restore p99, migration on vs off
+#   service_load     → BENCH_service.json   8-tenant overload drill
+# chaos_resilience, control_plane and service_load are pass/fail drills: a
+# failed drill stops the run with its non-zero exit code.
 #
-# Usage: bench/run_benchmarks.sh [build_dir] [output.json] [benchmark args...]
-#   build_dir    defaults to ./build
-#   output.json  defaults to ./BENCH_micro.json (the pipeline bench writes
-#                BENCH_pipeline.json next to it)
-# Extra args are forwarded to the microbenchmark binary, e.g.
-#   bench/run_benchmarks.sh build BENCH_micro.json --benchmark_filter='Gf256|Rs'
+# Usage: bench/run_benchmarks.sh [build_dir] [out_dir]
+#   build_dir  defaults to ./build
+#   out_dir    defaults to . (the committed BENCH_*.json files)
 #
 # Regression gate:
 #   bench/run_benchmarks.sh --check [build_dir] [baseline.json]
@@ -91,85 +97,14 @@ PY
 fi
 
 BUILD_DIR="${1:-build}"
-OUT="${2:-BENCH_micro.json}"
-shift $(( $# > 2 ? 2 : $# )) || true
+OUT_DIR="${2:-.}"
 
-BIN="$BUILD_DIR/bench/micro_kernels"
-if [[ ! -x "$BIN" ]]; then
-  echo "error: $BIN not found — build first: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
-  exit 1
-fi
-
-# Console output for humans, JSON for the record. The *Scalar variants pin
-# RAPIDS' kernel dispatch to the scalar reference, so the dispatched-vs-scalar
-# speedup is visible within a single run (the label column names the ISA).
-"$BIN" --benchmark_out="$OUT" --benchmark_out_format=json "$@"
-
-echo
-echo "wrote $OUT"
-
-# Batch pipeline throughput: serial prepare/restore loop vs
-# prepare_batch/restore_batch at 1/2/4/8 in-flight objects.
-PIPE_BIN="$BUILD_DIR/bench/pipeline_throughput"
-PIPE_OUT="$(dirname "$OUT")/BENCH_pipeline.json"
-if [[ -x "$PIPE_BIN" ]]; then
-  "$PIPE_BIN" "$PIPE_OUT"
-else
-  echo "warning: $PIPE_BIN not found — skipping pipeline throughput" >&2
-fi
-
-# Progressive refinement: repeated from-scratch restores at tightening bounds
-# vs one incremental refine() session over the same 4-rung ladder.
-PROG_BIN="$BUILD_DIR/bench/progressive_refinement"
-PROG_OUT="$(dirname "$OUT")/BENCH_progressive.json"
-if [[ -x "$PROG_BIN" ]]; then
-  "$PROG_BIN" "$PROG_OUT"
-else
-  echo "warning: $PROG_BIN not found — skipping progressive refinement" >&2
-fi
-
-# Chaos resilience: restore throughput, simulated gather-latency p50/p99, and
-# achieved-vs-reported error bound at 0/5/15% transient get-failure rates and
-# under a straggler profile, each with hedged reads on and off.
-CHAOS_BIN="$BUILD_DIR/bench/chaos_resilience"
-CHAOS_OUT="$(dirname "$OUT")/BENCH_chaos.json"
-if [[ -x "$CHAOS_BIN" ]]; then
-  "$CHAOS_BIN" "$CHAOS_OUT"
-else
-  echo "warning: $CHAOS_BIN not found — skipping chaos resilience" >&2
-fi
-
-# Refactor kernels: panel-major multigrid row kernels scalar vs dispatched
-# (GB/s) plus whole single-thread decompose/recompose MB/s at the seed /
-# panel-scalar / dispatched stages, with speedups recorded in the same run.
-RK_BIN="$BUILD_DIR/bench/refactor_kernels"
-RK_OUT="$(dirname "$OUT")/BENCH_refactor.json"
-if [[ -x "$RK_BIN" ]]; then
-  "$RK_BIN" "$RK_OUT"
-else
-  echo "warning: $RK_BIN not found — skipping refactor kernels" >&2
-fi
-
-# Control plane: availability-drift re-optimization drill (per-object
-# evaluated error and availability before/after the controller converges,
-# zero tolerated bound violations) plus foreground restore p99 with a
-# rate-limited background migration on vs off.
-CTL_BIN="$BUILD_DIR/bench/control_plane"
-CTL_OUT="$(dirname "$OUT")/BENCH_control.json"
-if [[ -x "$CTL_BIN" ]]; then
-  "$CTL_BIN" "$CTL_OUT"
-else
-  echo "warning: $CTL_BIN not found — skipping control plane" >&2
-fi
-
-# Service load: open-loop 8-tenant 4x overload drill against the multi-tenant
-# object service — per-tenant p50/p99 and shed rate, zero accepted-then-
-# expired, brownout accuracy accounting, and same-seed schedule-hash
-# reproducibility.
-SVC_BIN="$BUILD_DIR/bench/service_load"
-SVC_OUT="$(dirname "$OUT")/BENCH_service.json"
-if [[ -x "$SVC_BIN" ]]; then
-  "$SVC_BIN" "$SVC_OUT"
-else
-  echo "warning: $SVC_BIN not found — skipping service load" >&2
-fi
+for pair in chaos_resilience:BENCH_chaos.json refactor_kernels:BENCH_refactor.json \
+            control_plane:BENCH_control.json service_load:BENCH_service.json; do
+  BIN="$BUILD_DIR/bench/${pair%%:*}"
+  if [[ ! -x "$BIN" ]]; then
+    echo "error: $BIN not found — build first: cmake -B $BUILD_DIR -S . && cmake --build $BUILD_DIR -j" >&2
+    exit 1
+  fi
+  "$BIN" "$OUT_DIR/${pair#*:}"
+done

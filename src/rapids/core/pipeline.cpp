@@ -23,6 +23,15 @@ constexpr u32 kRecordMagic = 0x524F4252u;  // "ROBR"
 /// distribute channel: the refactorer turns to downstream work (backpressure)
 /// once this many materialized levels are waiting.
 constexpr u32 kStreamLevelWindow = 2;
+/// A fetch is hedged once its simulated transfer time exceeds this multiple
+/// of the plan median.
+constexpr f64 kHedgeThreshold = 2.0;
+/// A refine session reuses its cached gathering plan while availability is
+/// unchanged and no system's bandwidth estimate has drifted by more than this
+/// relative tolerance; beyond it the ladder is replanned.
+constexpr f64 kPlanReuseBwTolerance = 0.25;
+/// Seed of the Random gathering strategy.
+constexpr u64 kRandomPlanSeed = 99;
 
 std::string object_key(const std::string& name) { return "obj/" + name; }
 
@@ -212,7 +221,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
       std::vector<std::tuple<u32, u64, u32>> candidates;  // (bad, load, id)
       for (u32 s = 0; s < n; ++s) {
         if (s == preferred || !cluster_.system(s).available()) continue;
-        const u32 bad = config_.health_tracking && !health().allow(s) ? 1u : 0u;
+        const u32 bad = health().allow(s) ? 0u : 1u;
         candidates.emplace_back(bad, cluster_.system(s).fragment_count(), s);
       }
       std::sort(candidates.begin(), candidates.end());
@@ -533,7 +542,7 @@ storage::SystemHealth& RapidsPipeline::health() {
 }
 
 void RapidsPipeline::persist_health() {
-  if (!health_ || !config_.health_tracking) return;
+  if (!health_) return;
   const Bytes wire = health_->serialize();
   db_.put("net/system_health",
           std::string(reinterpret_cast<const char*>(wire.data()), wire.size()));
@@ -546,7 +555,6 @@ storage::SystemHealth& RapidsPipeline::system_health() {
 
 void RapidsPipeline::record_health(u32 system, bool ok,
                                    f64 latency_multiplier) {
-  if (!config_.health_tracking) return;
   if (ok)
     health().record_success(system, latency_multiplier);
   else
@@ -561,7 +569,7 @@ std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
 GatherPlan RapidsPipeline::plan_gather(const GatherProblem& problem) const {
   switch (config_.strategy) {
     case GatherStrategy::kRandom: {
-      Rng rng(config_.random_seed);
+      Rng rng(kRandomPlanSeed);
       return random_plan(problem, rng);
     }
     case GatherStrategy::kNaive:
@@ -658,21 +666,19 @@ void RapidsPipeline::snapshot_problem(const std::string& name,
   // not shrink the recoverable prefix (degradation must stay availability-
   // driven, never health-heuristic-driven). allow() doubles as the
   // half-open transition, so cooled-down systems get their probe here.
-  if (config_.health_tracking) {
-    std::vector<bool> healthy = problem.available;
-    bool any_excluded = false;
-    for (u32 i = 0; i < n; ++i) {
-      if (healthy[i] && !health().allow(i)) {
-        healthy[i] = false;
-        any_excluded = true;
-      }
+  std::vector<bool> healthy = problem.available;
+  bool any_excluded = false;
+  for (u32 i = 0; i < n; ++i) {
+    if (healthy[i] && !health().allow(i)) {
+      healthy[i] = false;
+      any_excluded = true;
     }
-    if (any_excluded) {
-      GatherProblem alt = problem;
-      alt.available = healthy;
-      if (alt.recoverable_levels() == problem.recoverable_levels())
-        problem.available = std::move(healthy);
-    }
+  }
+  if (any_excluded) {
+    GatherProblem alt = problem;
+    alt.available = healthy;
+    if (alt.recoverable_levels() == problem.recoverable_levels())
+      problem.available = std::move(healthy);
   }
 }
 
@@ -824,7 +830,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
         }
         times = net::equal_share_times_scaled(transfers, problem.bandwidths,
                                               mults);
-        hedge_launch = config_.hedge_threshold * median_of(times);
+        hedge_launch = kHedgeThreshold * median_of(times);
       }
     }
     report.fetch_seconds += t.seconds();
@@ -875,7 +881,7 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
             for (const auto& [sys2, idx2] : locations[f.level]) {
               if (used[f.level].contains(sys2)) continue;
               if (!cluster_.system(sys2).available()) continue;
-              if (config_.health_tracking && !health().allow(sys2)) continue;
+              if (!health().allow(sys2)) continue;
               if (!spare ||
                   problem.bandwidths[sys2] > problem.bandwidths[*spare])
                 spare = sys2;
@@ -1111,7 +1117,7 @@ RestoreReport RapidsPipeline::advance_session(RefineSession& session,
             max_delta,
             std::fabs(problem.bandwidths[i] - session.plan_bandwidths_[i]) / ref);
       }
-      if (max_delta <= config_.plan_reuse_bw_tolerance) {
+      if (max_delta <= kPlanReuseBwTolerance) {
         have_pre = true;
         for (const u32 j : uncached) {
           const auto it = session.planned_rows_.find(j);
@@ -1408,7 +1414,7 @@ std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
   for (u32 i = 0; i < n; ++i) {
     if (!cluster_.system(i).available()) {
       out[i] = 1.0;  // hard down right now, not a statistical estimate
-    } else if (config_.health_tracking) {
+    } else {
       out[i] = health().estimated_failure_prob(i, prior_p, prior_strength);
     }
   }
@@ -1418,9 +1424,8 @@ std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
 std::vector<storage::CircuitState> RapidsPipeline::breaker_states() {
   std::lock_guard<std::mutex> lock(io_mu_);
   const u32 n = cluster_.size();
-  std::vector<storage::CircuitState> out(n, storage::CircuitState::kClosed);
-  if (config_.health_tracking)
-    for (u32 i = 0; i < n; ++i) out[i] = health().circuit_state(i);
+  std::vector<storage::CircuitState> out(n);
+  for (u32 i = 0; i < n; ++i) out[i] = health().circuit_state(i);
   return out;
 }
 

@@ -53,7 +53,6 @@ struct PipelineConfig {
   storage::PlacementPolicy placement = storage::PlacementPolicy::kRotate;
   GatherStrategy strategy = GatherStrategy::kOptimized;
   solver::AcoOptions aco;           ///< budget for the Optimized strategy
-  u64 random_seed = 99;             ///< seed for the Random strategy
   /// Learn per-system bandwidth from observed transfer throughput (paper
   /// Section 4.3) and persist the estimates in the metadata store, so
   /// gathering plans adapt to network variation across restores.
@@ -67,18 +66,16 @@ struct PipelineConfig {
   /// simulated clock; jitter seeds derive from the op identity, so retry
   /// schedules are reproducible under any thread interleaving.
   RetryPolicy retry;
-  /// Hedge fetches whose simulated transfer time exceeds hedge_threshold ×
-  /// the plan median: a duplicate read of a sibling fragment of the same
+  /// Hedge fetches whose simulated transfer time exceeds twice the plan
+  /// median: a duplicate read of a sibling fragment of the same
   /// level is issued to the fastest unplanned holder, and the faster of the
   /// two completions wins. Also rescues persistently failed fetches without
   /// a full replan.
   bool hedged_reads = true;
-  f64 hedge_threshold = 2.0;
-  /// Track per-system success/failure/latency in a SystemHealth circuit
-  /// breaker (persisted next to the bandwidth tracker) and exclude
-  /// circuit-open systems from gathering plans when that does not reduce
-  /// the recoverable level count.
-  bool health_tracking = true;
+  /// Per-system success/failure/latency is tracked in a SystemHealth circuit
+  /// breaker (persisted next to the bandwidth tracker); circuit-open systems
+  /// are excluded from gathering plans when that does not reduce the
+  /// recoverable level count.
   storage::HealthOptions health;
 
   // --- progressive refinement (restore cache + refine sessions) ---
@@ -89,10 +86,6 @@ struct PipelineConfig {
   /// level. 0 disables caching (every restore refetches, the pre-cache
   /// behavior).
   u64 restore_cache_bytes = 256ull << 20;
-  /// A refine session reuses its cached gathering plan while availability is
-  /// unchanged and no system's bandwidth estimate has drifted by more than
-  /// this relative tolerance; beyond it the ladder is replanned.
-  f64 plan_reuse_bw_tolerance = 0.25;
 
   // --- streaming dataflow (fragment-granular pipelining) ---
 
@@ -341,8 +334,8 @@ class RapidsPipeline {
   /// Advance `session` until its guaranteed bound is <= rel_bound (or to the
   /// object's deepest level when no level bound is that tight): consult the
   /// restore cache, fetch only the uncached levels past the cursor (reusing
-  /// the session's gathering plan while bandwidth estimates have not drifted
-  /// past plan_reuse_bw_tolerance), decode only the new bitplanes, and
+  /// the session's gathering plan while no bandwidth estimate has drifted by
+  /// more than 25%), decode only the new bitplanes, and
   /// recompose. The returned field is byte-identical to a one-shot
   /// reconstruct of the same level prefix. If outages put the requested bound
   /// out of reach, the rung degrades to the deepest reachable level —
@@ -526,8 +519,8 @@ class RapidsPipeline {
   void persist_tracker();
   storage::SystemHealth& health();
   void persist_health();
-  /// Record one storage-op outcome in the health tracker (no-op when
-  /// health_tracking is off). Must be called under io_mu_.
+  /// Record one storage-op outcome in the health tracker. Must be called
+  /// under io_mu_.
   void record_health(u32 system, bool ok, f64 latency_multiplier = 1.0);
   /// Fetch one fragment with bounded retry, classifying failures: io_error
   /// is transient (retried with backoff), a missing fragment is permanent

@@ -1,11 +1,9 @@
 #pragma once
 
 /// \file kvstore.hpp
-/// The metadata-store interface the pipeline programs against. Two
-/// implementations ship: the embedded single-node Db (the paper's deployed
-/// configuration) and the quorum-replicated ReplicatedDb (the paper's
-/// future-work configuration). Swapping them changes the metadata fault
-/// model without touching the pipeline.
+/// The metadata-store interface the pipeline programs against. The embedded
+/// single-node Db (the paper's deployed configuration) implements it, and so
+/// can any decorator or alternative store without touching the pipeline.
 
 #include <optional>
 #include <span>

@@ -351,15 +351,6 @@ PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes,
   return ps;
 }
 
-std::vector<f64> decode_planes(const PlaneSet& ps, u32 num_planes,
-                               ThreadPool* pool, CodecStats* stats) {
-  // Single code path with the incremental decoder: a throwaway state starting
-  // at zero planes is exactly the from-scratch decode, which is what makes
-  // incremental refinement provably byte-identical to it.
-  ProgressiveState scratch;
-  return decode_planes_incremental(ps, num_planes, scratch, pool, stats);
-}
-
 std::vector<f64> decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                                            ProgressiveState& state,
                                            ThreadPool* pool,

@@ -92,20 +92,12 @@ struct CodecStats {
 PlaneSet encode_planes(std::span<const f64> coeffs, u32 max_planes = kMagnitudePlanes,
                        ThreadPool* pool = nullptr, CodecStats* stats = nullptr);
 
-/// Reconstruct coefficients from the sign plane and the first
-/// `num_planes` magnitude planes of `ps` (num_planes <= ps.planes.size()).
-/// Coefficients whose decoded prefix is zero stay exactly zero; others get
-/// midpoint reconstruction of the truncated tail.
-std::vector<f64> decode_planes(const PlaneSet& ps, u32 num_planes,
-                               ThreadPool* pool = nullptr,
-                               CodecStats* stats = nullptr);
-
 /// Carry-over state for incremental plane decoding: the raw quantized values
 /// and sign words accumulated so far for one decomposition level. Planes
 /// occupy disjoint bit positions of q, so merging later planes is a pure OR;
 /// the truncated-tail midpoint is applied fresh at every materialization and
 /// never baked into q, which is what makes refining p0 -> p1 byte-identical
-/// to a from-scratch decode_planes(p1).
+/// to decoding p1 planes into a fresh state.
 struct ProgressiveState {
   u64 count = 0;             ///< coefficients (fixed at first use)
   u32 planes_decoded = 0;    ///< planes already merged into q
@@ -114,11 +106,13 @@ struct ProgressiveState {
   std::vector<u64> sign_words; ///< decoded sign plane (decoded once)
 };
 
-/// Incremental decode_planes: advance `state` from its current plane count to
-/// `num_planes` by decoding and OR-merging only the new planes of `ps`, then
-/// materialize the coefficients. For any refinement chain ending at p, the
-/// result is bit-for-bit identical to decode_planes(ps, p) — decode_planes
-/// itself is implemented as this function with a throwaway state.
+/// Reconstruct coefficients from the sign plane and the first `num_planes`
+/// magnitude planes of `ps` (num_planes <= ps.planes.size()): advance `state`
+/// from its current plane count to `num_planes` by decoding and OR-merging
+/// only the new planes, then materialize. Coefficients whose decoded prefix
+/// is zero stay exactly zero; others get midpoint reconstruction of the
+/// truncated tail. A fresh state is the from-scratch decode; for any
+/// refinement chain ending at p the result is bit-for-bit identical to it.
 std::vector<f64> decode_planes_incremental(const PlaneSet& ps, u32 num_planes,
                                            ProgressiveState& state,
                                            ThreadPool* pool = nullptr,

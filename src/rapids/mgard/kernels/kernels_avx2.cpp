@@ -213,7 +213,19 @@ void gather_stride_d(f64* dst, const f64* src, u64 n, u64 stride) {
     for (; i < n; ++i) dst[i] = src[i];
     return;
   }
-  for (u64 i = 0; i < n; ++i) dst[i] = src[i * stride];
+  u64 i = 0;
+  if (stride == 2) {
+    // The even lanes of two loads: unpacklo gives (s0, s4 | s2, s6) per
+    // 128-bit half and the cross-lane permute orders them. The vector loop
+    // stops one group early so it never reads past src[2 * (n - 1)].
+    for (; i + 5 <= n; i += 4) {
+      const __m256d a = _mm256_loadu_pd(src + 2 * i);
+      const __m256d b = _mm256_loadu_pd(src + 2 * i + 4);
+      _mm256_storeu_pd(dst + i, _mm256_permute4x64_pd(
+                                    _mm256_unpacklo_pd(a, b), 0xD8));
+    }
+  }
+  for (; i < n; ++i) dst[i] = src[i * stride];
 }
 
 void scatter_stride_d(f64* dst, const f64* src, u64 n, u64 stride) {

@@ -193,7 +193,8 @@ std::vector<f32> Refactorer::reconstruct(
   RAPIDS_REQUIRE(level_payloads.size() <= meta.levels.size());
   const std::vector<PlaneSet> sets =
       collect_plane_sets(meta.dlevels, level_payloads);
-  return reconstruct_from_sets(meta, sets, nullptr, codec);
+  std::vector<ProgressiveState> states;
+  return reconstruct_incremental(meta, sets, states, codec);
 }
 
 std::vector<f32> Refactorer::reconstruct_incremental(
@@ -202,12 +203,6 @@ std::vector<f32> Refactorer::reconstruct_incremental(
   if (states.empty()) states.resize(sets.size());
   RAPIDS_REQUIRE_MSG(states.size() == sets.size(),
                      "reconstruct: progressive states do not match plane sets");
-  return reconstruct_from_sets(meta, sets, &states, codec);
-}
-
-std::vector<f32> Refactorer::reconstruct_from_sets(
-    const RefactoredObject& meta, const std::vector<PlaneSet>& sets,
-    std::vector<ProgressiveState>* states, CodecStats* codec) const {
   const GridHierarchy h(meta.dims, meta.decomp_levels);
   RAPIDS_REQUIRE(sets.size() == h.num_decomp_levels());
 
@@ -215,14 +210,9 @@ std::vector<f32> Refactorer::reconstruct_from_sets(
   for (u32 d = 0; d < sets.size(); ++d) {
     const u32 avail = static_cast<u32>(sets[d].planes.size());
     std::vector<f64> coeffs;
-    if (sets[d].count != 0) {
-      coeffs = states != nullptr
-                   ? decode_planes_incremental(sets[d], avail, (*states)[d],
-                                               pool_, codec)
-                   : decode_planes(sets[d], avail, pool_, codec);
-    }
-    if (coeffs.empty() && sets[d].count > 0)
-      coeffs.assign(sets[d].count, 0.0);
+    if (sets[d].count != 0)
+      coeffs = decode_planes_incremental(sets[d], avail, states[d], pool_,
+                                         codec);
     scatter_level(padded, h, d, coeffs, pool_);
   }
 

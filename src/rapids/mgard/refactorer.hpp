@@ -128,7 +128,8 @@ class Refactorer {
                                std::span<const Bytes> level_payloads,
                                CodecStats* codec = nullptr) const;
 
-  /// Incremental counterpart of reconstruct() for refinement sessions.
+  /// Incremental counterpart of reconstruct() for refinement sessions, and
+  /// the body reconstruct() runs with fresh states.
   /// `sets` are the accumulated plane sets of a retrieval prefix (grown with
   /// append_plane_sets); `states` (initially empty, owned by the caller
   /// across rungs) lets the bitplane decode pay only for planes added since
@@ -139,12 +140,6 @@ class Refactorer {
       std::vector<ProgressiveState>& states, CodecStats* codec = nullptr) const;
 
  private:
-  /// Shared tail of the two reconstruct flavors: decode (incrementally when
-  /// `states` is non-null), scatter, recompose, crop.
-  std::vector<f32> reconstruct_from_sets(
-      const RefactoredObject& meta, const std::vector<PlaneSet>& sets,
-      std::vector<ProgressiveState>* states, CodecStats* codec) const;
-
   RefactorOptions options_;
   ThreadPool* pool_;
 };

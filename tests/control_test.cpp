@@ -232,11 +232,15 @@ TEST(SystemHealthTransitions, CallbackSafeUnderExternalLockTsan) {
   health.set_transition_callback(
       [&](u32, storage::HealthTransition) { ++transitions; });
 
+  // Each worker visits every system once per four iterations and fails
+  // visits 0 and 1 of every four, so either worker alone opens each breaker.
+  // Both workers start every system with two failures, so the first two
+  // events on a system are failures under any interleaving.
   const auto worker = [&](u32 seed) {
     for (u32 i = 0; i < 500; ++i) {
       std::lock_guard<std::mutex> lock(mu);
       const u32 sys = (seed + i) % 4;
-      if ((i * 2654435761u + seed) % 3 == 0)
+      if ((i / 4) % 4 < 2)
         health.record_failure(sys);
       else
         health.record_success(sys);

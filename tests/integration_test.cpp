@@ -10,7 +10,6 @@
 #include "rapids/core/baselines.hpp"
 #include "rapids/core/pipeline.hpp"
 #include "rapids/kvstore/db.hpp"
-#include "rapids/kvstore/replicated_db.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/data/stats.hpp"
 #include "rapids/parallel/thread_pool.hpp"
@@ -166,22 +165,6 @@ TEST_F(IntegrationTest, MetadataScanEnumeratesFragments) {
     const u32 sys = static_cast<u32>(std::stoul(value));
     EXPECT_LT(sys, 16u);
   }
-}
-
-TEST_F(IntegrationTest, PipelineRunsOnReplicatedMetadata) {
-  // The paper's future-work configuration: metadata on a quorum-replicated
-  // store. The full prepare/restore cycle must work, and must keep working
-  // when a metadata replica dies between the two phases.
-  auto rdb = kv::ReplicatedDb::open(dir_ + "/rdb", 3, 2, 2);
-  RapidsPipeline pipeline(*cluster_, *rdb, config());
-  const Dims dims{33, 17, 9};
-  const auto field = data::hurricane_pressure(dims, 21);
-  pipeline.prepare(field, dims, "repl");
-  rdb->set_replica_up(1, false);  // metadata server outage
-  storage::fail_exactly(*cluster_, {2, 7});
-  const auto rest = pipeline.restore("repl");
-  EXPECT_GT(rest.levels_used, 0u);
-  EXPECT_LE(data::relative_linf_error(field, rest.data), rest.rel_error_bound);
 }
 
 TEST_F(IntegrationTest, EvacuateSystemThenRestore) {

@@ -19,6 +19,13 @@
 
 namespace rapids::mgard {
 namespace {
+/// From-scratch plane decode: decode_planes_incremental on a fresh state.
+std::vector<f64> decode_fresh(const PlaneSet& ps, u32 num_planes,
+                              ThreadPool* pool = nullptr,
+                              CodecStats* stats = nullptr) {
+  ProgressiveState state;
+  return decode_planes_incremental(ps, num_planes, state, pool, stats);
+}
 
 // --- GridHierarchy ---
 
@@ -276,7 +283,7 @@ TEST(Bitplane, LosslessAtFullPlanes) {
   std::vector<f64> coeffs(5000);
   for (auto& c : coeffs) c = rng.uniform(-100.0, 100.0);
   const PlaneSet ps = encode_planes(coeffs);
-  const auto back = decode_planes(ps, kMagnitudePlanes);
+  const auto back = decode_fresh(ps, kMagnitudePlanes);
   // Quantization floor: 2^(E-32), E = exponent of max.
   const f64 floor = ps.error_bound(kMagnitudePlanes);
   for (std::size_t i = 0; i < coeffs.size(); ++i)
@@ -289,7 +296,7 @@ TEST(Bitplane, ErrorBoundHoldsAtEveryPrefix) {
   for (auto& c : coeffs) c = rng.normal(0.0, 5.0);
   const PlaneSet ps = encode_planes(coeffs);
   for (u32 p = 0; p <= kMagnitudePlanes; ++p) {
-    const auto back = decode_planes(ps, p);
+    const auto back = decode_fresh(ps, p);
     const f64 bound = ps.error_bound(p);
     f64 max_err = 0.0;
     for (std::size_t i = 0; i < coeffs.size(); ++i)
@@ -305,7 +312,7 @@ TEST(Bitplane, ErrorDecreasesWithPlanes) {
   const PlaneSet ps = encode_planes(coeffs);
   f64 prev = 1e300;
   for (u32 p = 1; p <= 24; p += 4) {
-    const auto back = decode_planes(ps, p);
+    const auto back = decode_fresh(ps, p);
     f64 max_err = 0.0;
     for (std::size_t i = 0; i < coeffs.size(); ++i)
       max_err = std::max(max_err, std::fabs(coeffs[i] - back[i]));
@@ -317,7 +324,7 @@ TEST(Bitplane, ErrorDecreasesWithPlanes) {
 TEST(Bitplane, ZeroPrefixDecodesToZeros) {
   std::vector<f64> coeffs = {1.0, -2.0, 3.0};
   const PlaneSet ps = encode_planes(coeffs);
-  const auto back = decode_planes(ps, 0);
+  const auto back = decode_fresh(ps, 0);
   for (f64 v : back) EXPECT_EQ(v, 0.0);
 }
 
@@ -326,7 +333,7 @@ TEST(Bitplane, AllZeroLevel) {
   const PlaneSet ps = encode_planes(coeffs);
   EXPECT_EQ(ps.max_abs, 0.0);
   EXPECT_EQ(ps.error_bound(0), 0.0);
-  const auto back = decode_planes(ps, 0);
+  const auto back = decode_fresh(ps, 0);
   for (f64 v : back) EXPECT_EQ(v, 0.0);
 }
 
@@ -334,7 +341,7 @@ TEST(Bitplane, ExactZerosStayZero) {
   std::vector<f64> coeffs(100, 0.0);
   coeffs[7] = 42.0;  // one significant coefficient
   const PlaneSet ps = encode_planes(coeffs);
-  const auto back = decode_planes(ps, 8);
+  const auto back = decode_fresh(ps, 8);
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
     if (i != 7) ASSERT_EQ(back[i], 0.0) << "index " << i;
   }
@@ -344,7 +351,7 @@ TEST(Bitplane, ExactZerosStayZero) {
 TEST(Bitplane, SignsPreserved) {
   std::vector<f64> coeffs = {-5.0, 5.0, -0.25, 0.25, -1e-3, 1e-3};
   const PlaneSet ps = encode_planes(coeffs);
-  const auto back = decode_planes(ps, kMagnitudePlanes);
+  const auto back = decode_fresh(ps, kMagnitudePlanes);
   for (std::size_t i = 0; i < coeffs.size(); ++i)
     if (back[i] != 0.0)
       ASSERT_EQ(std::signbit(coeffs[i]), std::signbit(back[i])) << i;
@@ -387,7 +394,7 @@ TEST(Bitplane, ParallelEncodeDecodeMatchesSerial) {
   ASSERT_EQ(serial.planes.size(), parallel.planes.size());
   for (std::size_t p = 0; p < serial.planes.size(); ++p)
     ASSERT_EQ(serial.planes[p].data, parallel.planes[p].data) << "plane " << p;
-  EXPECT_EQ(decode_planes(serial, 16, nullptr), decode_planes(parallel, 16, &pool));
+  EXPECT_EQ(decode_fresh(serial, 16, nullptr), decode_fresh(parallel, 16, &pool));
 }
 
 // Mode bytes are wire format (see encode_segment): 0 raw, 1 sparse, 2 zero,

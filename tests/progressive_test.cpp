@@ -21,6 +21,13 @@
 
 namespace rapids::mgard {
 namespace {
+/// From-scratch plane decode: decode_planes_incremental on a fresh state.
+std::vector<f64> decode_fresh(const PlaneSet& ps, u32 num_planes,
+                              ThreadPool* pool = nullptr,
+                              CodecStats* stats = nullptr) {
+  ProgressiveState state;
+  return decode_planes_incremental(ps, num_planes, state, pool, stats);
+}
 
 bool bit_identical(const std::vector<f64>& a, const std::vector<f64>& b) {
   return a.size() == b.size() &&
@@ -55,10 +62,10 @@ TEST(ProgressiveDecode, EveryPlanePairBitIdentical) {
         if (p0 >= p1) continue;
         ProgressiveState state;
         const auto first = decode_planes_incremental(ps, p0, state, nullptr);
-        ASSERT_TRUE(bit_identical(first, decode_planes(ps, p0)))
+        ASSERT_TRUE(bit_identical(first, decode_fresh(ps, p0)))
             << "n=" << lengths[li] << " p0=" << p0;
         const auto second = decode_planes_incremental(ps, p1, state, nullptr);
-        ASSERT_TRUE(bit_identical(second, decode_planes(ps, p1)))
+        ASSERT_TRUE(bit_identical(second, decode_fresh(ps, p1)))
             << "n=" << lengths[li] << " p0=" << p0 << " p1=" << p1;
       }
     }
@@ -71,7 +78,7 @@ TEST(ProgressiveDecode, ChainedRefinementMatchesEveryPrefix) {
   ProgressiveState state;
   for (u32 p : {0u, 1u, 2u, 5u, 13u, 31u, 32u}) {
     const auto inc = decode_planes_incremental(ps, p, state, nullptr);
-    ASSERT_TRUE(bit_identical(inc, decode_planes(ps, p))) << "planes=" << p;
+    ASSERT_TRUE(bit_identical(inc, decode_fresh(ps, p))) << "planes=" << p;
     EXPECT_EQ(state.planes_decoded, p);
   }
 }
@@ -123,7 +130,7 @@ TEST(ProgressiveDecode, TruncatedSegmentThrows) {
     auto& seg =
         damaged.planes[static_cast<std::size_t>(&plane - ps.planes.data())];
     seg.data.resize(seg.data.size() / 2);
-    EXPECT_THROW(decode_planes(damaged, kMagnitudePlanes), std::exception);
+    EXPECT_THROW(decode_fresh(damaged, kMagnitudePlanes), std::exception);
     truncated_one = true;
     break;
   }

@@ -254,7 +254,8 @@ TEST(Robustness, DecodePlanesOnTruncatedSegment) {
   // Truncate a mid plane's data.
   auto& seg = ps.planes[5].data;
   if (seg.size() > 4) seg.resize(seg.size() / 2);
-  EXPECT_THROW((void)mgard::decode_planes(ps, 16), io_error);
+  mgard::ProgressiveState fresh;
+  EXPECT_THROW((void)mgard::decode_planes_incremental(ps, 16, fresh), io_error);
 }
 
 TEST(Robustness, ExtremeValuesRoundTrip) {
