@@ -156,7 +156,7 @@ int run(int argc, char** argv) {
 
   const auto probs_drift = w.pipeline->failure_prob_estimates();
   for (auto& d : drills) {
-    const auto rec = w.pipeline->snapshot_record(d.name);
+    const auto rec = w.pipeline->lookup(d.name);
     const auto pr = problem_for(*w.pipeline, *rec, probs_drift);
     d.planned_before = rec->planned_error;
     d.error_before = core::ft_evaluate(pr, rec->ft).expected_error;
@@ -170,7 +170,7 @@ int run(int argc, char** argv) {
   u32 bound_violations = 0, margin_violations = 0;
   for (u32 i = 0; i < drills.size(); ++i) {
     auto& d = drills[i];
-    const auto rec = w.pipeline->snapshot_record(d.name);
+    const auto rec = w.pipeline->lookup(d.name);
     const auto pr = problem_for(*w.pipeline, *rec, probs_after);
     d.planned_after = rec->planned_error;
     d.error_after = core::ft_evaluate(pr, rec->ft).expected_error;

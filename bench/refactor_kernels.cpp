@@ -26,8 +26,14 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "rapids/mgard/bitplane.hpp"
 #include "rapids/mgard/decompose.hpp"
@@ -590,127 +596,232 @@ struct TransformResult {
   f64 recompose_mbps = 0.0;
 };
 
-// One row-kernel measurement: run `calls` invocations moving `bytes_per_call`
-// through memory, report GB/s at the given tier.
-template <typename Fn>
-f64 kernel_gbps(const Fn& call, int calls, u64 bytes_per_call) {
-  call();  // warm
-  const f64 s = best_seconds([&] { for (int c = 0; c < calls; ++c) call(); }, 5);
-  return static_cast<f64>(bytes_per_call) * calls / s / 1e9;
+// One row of the kernel table: a scalar and a dispatched thunk, each a
+// sample of `calls` invocations moving `bytes_per_call` through memory.
+struct KernelRow {
+  std::string name;
+  std::function<void()> scalar, dispatched;
+  int calls = 0;
+  u64 bytes_per_call = 0;
+};
+
+// Row buffers share one arena, each starting at its own offset mod 4 KiB.
+// Separate allocations of this size all start at the same page offset, and a
+// kernel whose source and destination share their low 12 address bits pays
+// for 4K aliasing: pack_panel read 34 GB/s on such buffers and 49 GB/s on
+// staggered ones, in one process.
+class RowArena {
+ public:
+  explicit RowArena(u64 bytes) : mem_(bytes) {}
+
+  template <typename T>
+  std::span<T> take(u64 count) {
+    constexpr u64 kStagger = 320;  // 5 cache lines: 12 slots fit in 4 KiB
+    const u64 base = reinterpret_cast<u64>(mem_.data());
+    const u64 page = (base + cursor_ + 4095) / 4096 * 4096;
+    const u64 start = page + (slot_++ % 12) * kStagger;
+    cursor_ = start + count * sizeof(T) - base;
+    RAPIDS_REQUIRE(cursor_ <= mem_.size());
+    return {reinterpret_cast<T*>(start), count};
+  }
+
+ private:
+  std::vector<std::byte> mem_;
+  u64 cursor_ = 0;
+  u64 slot_ = 0;
+};
+
+// Rounds of the kernel table. Each round samples every row once and runs on
+// the next CPU the process may use, and the rounds are spread over the
+// transform section, so a row's best-of spans seconds and every CPU instead
+// of a few back-to-back milliseconds on one: on a shared host one vCPU can
+// run a kernel at half speed for seconds to minutes while its neighbor is
+// busy (dequantize read 17 vs 32 GB/s on two pinned CPUs at the same
+// addresses). The scalar side, which no gate reads and which costs most of
+// the time, is sampled every third round.
+constexpr int kKernelRounds = 120;
+constexpr int kScalarEvery = 3;
+
+// One row: 128 KiB of f64, beyond L1 but L2-warm. The widest kernel
+// (load_interior) streams six rows, 768 KiB; at 256 KiB rows its 1.5 MiB
+// nearly filled a 2 MiB L2 and read 68–96 GB/s across runs, at 128 KiB
+// 92–103.
+constexpr u64 kRowElems = 1 << 14;
+
+// The per-kernel table, sampled in rounds spread over the whole bench run.
+class KernelTable {
+ public:
+  explicit KernelTable(IsaLevel vec_tier);
+  KernelTable(const KernelTable&) = delete;
+  KernelTable& operator=(const KernelTable&) = delete;
+
+  /// Run `rounds` more rounds: each samples every row once, on the next CPU
+  /// the process may use.
+  void sample(int rounds);
+
+  std::vector<KernelResult> results() const;
+
+ private:
+  RowArena arena_;
+  std::vector<KernelRow> rows_;
+  std::vector<f64> best_s_, best_v_;
+  int round_ = 0;
+};
+
+void KernelTable::sample(int rounds) {
+  const auto time = [](const KernelRow& row, const std::function<void()>& fn) {
+    fn();  // warm this CPU's caches
+    Timer t;
+    for (int c = 0; c < row.calls; ++c) fn();
+    return t.seconds();
+  };
+#ifdef __linux__
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  sched_getaffinity(0, sizeof(allowed), &allowed);
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c)
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+#endif
+  for (int r = 0; r < rounds; ++r, ++round_) {
+#ifdef __linux__
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus[round_ % cpus.size()], &one);
+    sched_setaffinity(0, sizeof(one), &one);
+#endif
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      if (round_ % kScalarEvery == 0)
+        best_s_[i] = std::min(best_s_[i], time(rows_[i], rows_[i].scalar));
+      best_v_[i] = std::min(best_v_[i], time(rows_[i], rows_[i].dispatched));
+    }
+  }
+#ifdef __linux__
+  sched_setaffinity(0, sizeof(allowed), &allowed);
+#endif
 }
 
-std::vector<KernelResult> bench_row_kernels(IsaLevel vec_tier) {
+std::vector<KernelResult> KernelTable::results() const {
+  std::vector<KernelResult> out;
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    const f64 bytes =
+        static_cast<f64>(rows_[i].bytes_per_call) * rows_[i].calls / 1e9;
+    out.push_back({rows_[i].name, bytes / best_s_[i], bytes / best_v_[i]});
+  }
+  return out;
+}
+
+KernelTable::KernelTable(IsaLevel vec_tier)
+    : arena_(12 * (kRowElems * sizeof(f64) + 8192)) {
   using mgard::kernels::row_ops_at;
   const auto& S = mgard::kernels::row_ops_scalar<f64>();
   const auto& V = row_ops_at<f64>(vec_tier);
-  const u64 n = 1 << 15;  // one row: 256 KiB of f64, beyond L1 but L2-warm
-  const int calls = 400;
-  auto a = random_field(n, 1), lo = random_field(n, 2), hi = random_field(n, 3);
-  auto m2 = random_field(n, 4), p2 = random_field(n, 5);
-  std::vector<f64> out(n);
-  std::vector<KernelResult> rows;
+  const u64 n = kRowElems;
+  const int calls = 50;
+  const u64 nb = n - (n % 64);
+  const auto field = [&](u64 seed) {
+    const std::vector<f64> v = random_field(n, seed);
+    const std::span<f64> dst = arena_.take<f64>(n);
+    std::copy(v.begin(), v.end(), dst.begin());
+    return dst;
+  };
+  const auto a = field(1), lo = field(2), hi = field(3), m2 = field(4),
+             p2 = field(5);
+  const auto out = arena_.take<f64>(n);
+  const auto block = arena_.take<u64>(64);
+  const auto signs = arena_.take<u64>(nb / 64);
+  const auto q = arena_.take<u32>(nb);
+  const auto deq = arena_.take<f64>(nb);
 
-  auto add = [&](std::string name, auto&& sc, auto&& vc, u64 bytes) {
-    KernelResult r;
-    r.name = std::move(name);
-    r.scalar_gbps = kernel_gbps(sc, calls, bytes);
-    r.dispatched_gbps = kernel_gbps(vc, calls, bytes);
-    rows.push_back(r);
+  auto add = [&](std::string name, std::function<void()> sc,
+                 std::function<void()> vc, u64 bytes) {
+    rows_.push_back({std::move(name), std::move(sc), std::move(vc), calls, bytes});
   };
 
   add("cascade_fwd(row)",
-      [&] { S.cascade_fwd(a.data(), lo.data(), hi.data(), n); },
-      [&] { V.cascade_fwd(a.data(), lo.data(), hi.data(), n); }, 4 * n * 8);
+      [=] { S.cascade_fwd(a.data(), lo.data(), hi.data(), n); },
+      [=] { V.cascade_fwd(a.data(), lo.data(), hi.data(), n); }, 4 * n * 8);
   add("load_interior(row)",
-      [&] {
+      [=] {
         S.load_interior(out.data(), m2.data(), lo.data(), a.data(), hi.data(),
                         p2.data(), n);
       },
-      [&] {
+      [=] {
         V.load_interior(out.data(), m2.data(), lo.data(), a.data(), hi.data(),
                         p2.data(), n);
       },
       6 * n * 8);
   add("thomas_fwd(row)",
-      [&] { S.thomas_fwd(a.data(), lo.data(), 1.0 / 3.0, 1.25, n); },
-      [&] { V.thomas_fwd(a.data(), lo.data(), 1.0 / 3.0, 1.25, n); },
+      [=] { S.thomas_fwd(a.data(), lo.data(), 1.0 / 3.0, 1.25, n); },
+      [=] { V.thomas_fwd(a.data(), lo.data(), 1.0 / 3.0, 1.25, n); },
       3 * n * 8);
   add("thomas_bwd(row)",
-      [&] { S.thomas_bwd(a.data(), hi.data(), 0.3, n); },
-      [&] { V.thomas_bwd(a.data(), hi.data(), 0.3, n); }, 3 * n * 8);
+      [=] { S.thomas_bwd(a.data(), hi.data(), 0.3, n); },
+      [=] { V.thomas_bwd(a.data(), hi.data(), 0.3, n); }, 3 * n * 8);
   add("cascade_x(fwd+inv)",
-      [&] {
+      [=] {
         S.cascade_fwd_x(a.data(), n - 1);  // odd length
         S.cascade_inv_x(a.data(), n - 1);
       },
-      [&] {
+      [=] {
         V.cascade_fwd_x(a.data(), n - 1);
         V.cascade_inv_x(a.data(), n - 1);
       },
       4 * n * 8);
   add("load_x(line)",
-      [&] { S.load_x(out.data(), a.data(), (n - 1) / 2 + 1, n - 1); },
-      [&] { V.load_x(out.data(), a.data(), (n - 1) / 2 + 1, n - 1); },
+      [=] { S.load_x(out.data(), a.data(), (n - 1) / 2 + 1, n - 1); },
+      [=] { V.load_x(out.data(), a.data(), (n - 1) / 2 + 1, n - 1); },
       n * 8 + (n / 2) * 8);
   add("gather(stride2)",
-      [&] { S.gather_stride(out.data(), a.data(), n / 2, 2); },
-      [&] { V.gather_stride(out.data(), a.data(), n / 2, 2); },
+      [=] { S.gather_stride(out.data(), a.data(), n / 2, 2); },
+      [=] { V.gather_stride(out.data(), a.data(), n / 2, 2); },
       (n / 2) * 16);
   add("pack_panel(16xN)",
-      [&] { S.pack_panel(out.data(), a.data(), 16, n / 16, n / 16); },
-      [&] { V.pack_panel(out.data(), a.data(), 16, n / 16, n / 16); },
+      [=] { S.pack_panel(out.data(), a.data(), 16, n / 16, n / 16); },
+      [=] { V.pack_panel(out.data(), a.data(), 16, n / 16, n / 16); },
       2 * (n / 16) * 16 * 8);
 
   // Bitplane kernels.
   const auto& BS = mgard::kernels::bitplane_ops_scalar();
   const auto& BV = mgard::kernels::bitplane_ops_at(vec_tier);
-  const u64 nb = n - (n % 64);
-  std::vector<u64> block(64), signs(nb / 64);
-  std::vector<u32> q(nb);
   Rng qr(9);
   for (auto& x : q) x = static_cast<u32>(qr.next_u64());
   for (auto& w : signs) w = qr.next_u64();
-  std::vector<f64> deq(nb);
   const f64 scale = 0x1p30;
   add("max_abs",
-      [&] { (void)BS.max_abs(a.data(), n); },
-      [&] { (void)BV.max_abs(a.data(), n); }, n * 8);
-  {
-    // The lambda loops the whole buffer, so fewer outer calls than the row
-    // kernels above.
-    KernelResult r;
-    r.name = "quantize64+transpose";
-    r.scalar_gbps = kernel_gbps(
-        [&] {
-          u64 sw;
-          for (u64 b = 0; b < nb; b += 64) {
-            BS.quantize64(a.data() + b, 64, scale, block.data(), &sw);
-            BS.transpose64(block.data());
-          }
-        },
-        40, nb * 16);
-    r.dispatched_gbps = kernel_gbps(
-        [&] {
-          u64 sw;
-          for (u64 b = 0; b < nb; b += 64) {
-            BV.quantize64(a.data() + b, 64, scale, block.data(), &sw);
-            BV.transpose64(block.data());
-          }
-        },
-        40, nb * 16);
-    rows.push_back(r);
-  }
+      [=] { (void)BS.max_abs(a.data(), n); },
+      [=] { (void)BV.max_abs(a.data(), n); }, n * 8);
+  // The lambda loops the whole buffer, so fewer calls than the row kernels
+  // above.
+  rows_.push_back(
+      {"quantize64+transpose",
+       [=] {
+         u64 sw;
+         for (u64 b = 0; b < nb; b += 64) {
+           BS.quantize64(a.data() + b, 64, scale, block.data(), &sw);
+           BS.transpose64(block.data());
+         }
+       },
+       [=] {
+         u64 sw;
+         for (u64 b = 0; b < nb; b += 64) {
+           BV.quantize64(a.data() + b, 64, scale, block.data(), &sw);
+           BV.transpose64(block.data());
+         }
+       },
+       5, nb * 16});
   add("dequantize",
-      [&] {
+      [=] {
         BS.dequantize(deq.data(), q.data(), signs.data(), 0x1p-32, 1u << 19,
                       nb);
       },
-      [&] {
+      [=] {
         BV.dequantize(deq.data(), q.data(), signs.data(), 0x1p-32, 1u << 19,
                       nb);
       },
       nb * 12);
-  return rows;
+  best_s_.assign(rows_.size(), 1e300);
+  best_v_.assign(rows_.size(), 1e300);
 }
 
 // --- entropy codec: seed coder vs kernel-dispatched coder -------------------
@@ -814,9 +925,10 @@ int main_impl(int argc, char** argv) {
               simd::isa_name(best));
 
   // --- whole transform, single thread ---
-  // Measured before the per-kernel table: minutes of sustained AVX2 soak
-  // drag the core's sustained frequency down, which compresses the
-  // memory-vs-compute deltas that this section exists to resolve. Print order below is unchanged.
+  // The per-kernel table is sampled a quarter at a time after each transform
+  // variant, so its best-of spans this whole section (see kKernelRounds).
+  // Print order below is unchanged.
+  KernelTable kernel_table(best);
   const Dims dims{129, 129, 129};
   const u32 levels = 4;
   const GridHierarchy h(dims, levels);
@@ -850,6 +962,7 @@ int main_impl(int argc, char** argv) {
         reps);
     transforms.push_back(r);
   }
+  kernel_table.sample(kKernelRounds / 4);
   mgard::RefactorWorkspace ws;
   {
     simd::set_isa_override(IsaLevel::kScalar);
@@ -870,6 +983,7 @@ int main_impl(int argc, char** argv) {
     transforms.push_back(r);
     simd::set_isa_override(std::nullopt);
   }
+  kernel_table.sample(kKernelRounds / 4);
   {
     // Best of many reps: the transform is ~15 ms, so a noisy neighbor only
     // shows in a minority of them.
@@ -890,6 +1004,7 @@ int main_impl(int argc, char** argv) {
         freps);
     transforms.push_back(r);
   }
+  kernel_table.sample(kKernelRounds / 4);
   // Beyond the LLC: the 129^3 working set (17 MB) is LLC-resident on typical
   // server parts, while at 257^3 (135 MB) every level streams from DRAM.
   const Dims xdims{257, 257, 257};
@@ -925,9 +1040,10 @@ int main_impl(int argc, char** argv) {
         xreps);
     transforms.push_back(r);
   }
+  kernel_table.sample(kKernelRounds / 4);
 
   // --- per-kernel table ---
-  std::vector<KernelResult> kernels = bench_row_kernels(best);
+  std::vector<KernelResult> kernels = kernel_table.results();
   std::printf("%-24s %12s %14s %9s\n", "kernel", "scalar GB/s",
               "dispatched GB/s", "speedup");
   for (const auto& k : kernels)

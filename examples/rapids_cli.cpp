@@ -145,8 +145,7 @@ int cmd_prepare(int argc, char** argv) {
               report.plane_encode_seconds, report.optimize_seconds,
               report.encode_seconds, report.store_seconds);
   print_codec_stats("encode", report.plane_codec);
-  std::printf("  simulated end-to-end prepare latency %.3fs (%zu levels "
-              "overlapped encode/store)\n",
+  std::printf("  simulated end-to-end prepare latency %.3fs (%zu levels)\n",
               report.prepare_latency, report.record.ft.size());
   return 0;
 }
@@ -363,7 +362,7 @@ int cmd_status(int argc, char** argv) {
   // journal below is durable and lists every migration ever run here.
   const auto states = pipeline.breaker_states();
   const auto probs = pipeline.failure_prob_estimates();
-  const auto bw = pipeline.snapshot_bandwidths();
+  const auto bw = pipeline.bandwidth_estimates();
   std::printf("systems (%zu):\n", states.size());
   for (std::size_t s = 0; s < states.size(); ++s) {
     const char* state =
@@ -375,10 +374,10 @@ int cmd_status(int argc, char** argv) {
                 s, state, probs[s], bw[s] / 1e6);
   }
 
-  const auto names = pipeline.snapshot_object_names();
+  const auto names = pipeline.list_objects();
   std::printf("objects (%zu):\n", names.size());
   for (const auto& name : names) {
-    const auto record = pipeline.snapshot_record(name);
+    const auto record = pipeline.lookup(name);
     if (!record || record->ft.empty()) continue;
     std::printf("  %s: generation %u, ft %s\n", name.c_str(),
                 record->generation, format_ft(record->ft).c_str());
@@ -493,7 +492,7 @@ int cmd_serve(int argc, char** argv) {
 
   // Size the offered load from the same cost model the service charges:
   // capacity ~= lanes / mean request seconds.
-  const auto bw = pipeline.snapshot_bandwidths();
+  const auto bw = pipeline.bandwidth_estimates();
   f64 rate = 0.0;
   for (const f64 b : bw) rate += b;
   rate /= static_cast<f64>(bw.size());

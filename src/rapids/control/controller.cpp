@@ -16,7 +16,7 @@ Controller::Controller(core::RapidsPipeline& pipeline, ControlOptions options)
   // The journal lives in the pipeline's own KV store; constructing it under
   // the metadata lock serializes its recovery scan with foreground traffic.
   pipeline_.with_metadata_lock([&](kv::KvStore& db) { journal_.emplace(db); });
-  bandwidth_baseline_ = pipeline_.snapshot_bandwidths();
+  bandwidth_baseline_ = pipeline_.bandwidth_estimates();
   pipeline_.set_health_transition_callback(
       [this](u32 system, storage::HealthTransition transition) {
         // Fires while the pipeline holds its I/O lock: enqueue under the
@@ -38,7 +38,7 @@ void Controller::recover() {
   pipeline_.with_metadata_lock(
       [&](kv::KvStore&) { pending = journal_->pending(); });
   for (auto& rec : pending) {
-    const auto obj = pipeline_.snapshot_record(rec.object);
+    const auto obj = pipeline_.lookup(rec.object);
     if (!obj) {
       // The object vanished under the migration; drop the half-written
       // generation and close the entry.
@@ -112,7 +112,7 @@ std::vector<MigrationRecord> Controller::journal_scan() {
 void Controller::mark_dirty(const std::string& name) { dirty_.insert(name); }
 
 void Controller::mark_all_dirty() {
-  for (auto& name : pipeline_.snapshot_object_names())
+  for (auto& name : pipeline_.list_objects())
     dirty_.insert(std::move(name));
 }
 
@@ -131,7 +131,7 @@ void Controller::drain_health_events() {
         options_.proactive_repair && !repair_queued_.contains(ev.system)) {
       repair_queued_.insert(ev.system);
       repair_queue_.push_back(ev.system);
-      auto names = pipeline_.snapshot_object_names();
+      auto names = pipeline_.list_objects();
       // pop_back() drains the list, so store it descending to evacuate in
       // ascending (deterministic) name order.
       std::sort(names.rbegin(), names.rend());
@@ -143,7 +143,7 @@ void Controller::drain_health_events() {
 }
 
 void Controller::poll_bandwidth_drift() {
-  const auto bw = pipeline_.snapshot_bandwidths();
+  const auto bw = pipeline_.bandwidth_estimates();
   if (bw.size() != bandwidth_baseline_.size()) {
     bandwidth_baseline_ = bw;
     return;
@@ -193,7 +193,7 @@ void Controller::evaluate_dirty_objects() {
       pipeline_.failure_prob_estimates(options_.prior_strength);
   for (const auto& name : batch) {
     if (migrating(name)) continue;  // re-marked by the next sweep if needed
-    const auto record = pipeline_.snapshot_record(name);
+    const auto record = pipeline_.lookup(name);
     if (!record || record->ft.empty()) continue;
     ++stats_.evaluations;
     const core::FtProblem problem = problem_for(*record, probs);
@@ -267,7 +267,7 @@ bool Controller::advance_one(MigrationRecord& rec) {
       while (rec.levels_written < nlevels &&
              steps < options_.max_level_steps_per_tick) {
         const u32 level = rec.levels_written;
-        const auto obj = pipeline_.snapshot_record(rec.object);
+        const auto obj = pipeline_.lookup(rec.object);
         if (!obj) {
           rollback(rec);
           return true;
@@ -311,7 +311,7 @@ bool Controller::advance_one(MigrationRecord& rec) {
       return true;
     }
     case MigrationPhase::kNewWritten: {
-      const auto obj = pipeline_.snapshot_record(rec.object);
+      const auto obj = pipeline_.lookup(rec.object);
       if (!obj) {
         rollback(rec);
         return true;
@@ -370,7 +370,7 @@ void Controller::rollback(MigrationRecord& rec) {
   // Rolling back is only legal while the record still serves the old
   // generation; past the flip the new generation is the live data, so a
   // "rollback" there must roll forward instead.
-  const auto obj = pipeline_.snapshot_record(rec.object);
+  const auto obj = pipeline_.lookup(rec.object);
   if (obj && obj->generation == rec.new_generation) {
     rec.phase = MigrationPhase::kFlipped;
     journal_update(rec);
@@ -408,7 +408,7 @@ void Controller::process_repairs() {
       continue;
     }
     const std::string name = work.back();
-    const auto obj = pipeline_.snapshot_record(name);
+    const auto obj = pipeline_.lookup(name);
     if (obj) {
       // At most one fragment of each level lives on one system; charge the
       // bucket for moving all of them before doing any of it.

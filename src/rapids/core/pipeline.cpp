@@ -1,16 +1,12 @@
 #include "rapids/core/pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <limits>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "rapids/core/baselines.hpp"
 
-#include "rapids/parallel/channel.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/util/logging.hpp"
 #include "rapids/util/timer.hpp"
@@ -19,10 +15,6 @@ namespace rapids::core {
 
 namespace {
 constexpr u32 kRecordMagic = 0x524F4252u;  // "ROBR"
-/// Capacity (in retrieval levels) of prepare's refactor -> encode ->
-/// distribute channel: the refactorer turns to downstream work (backpressure)
-/// once this many materialized levels are waiting.
-constexpr u32 kStreamLevelWindow = 2;
 /// A fetch is hedged once its simulated transfer time exceeds this multiple
 /// of the plan median.
 constexpr f64 kHedgeThreshold = 2.0;
@@ -170,7 +162,6 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
                                         const std::vector<ec::Fragment>& frags,
                                         StoreStats& stats) {
   const u32 n = cluster_.size();
-  const u64 stripe_bytes = std::max<u64>(config_.stream_stripe_bytes, 1);
   std::vector<std::pair<std::string, std::string>> locations;
   locations.reserve(frags.size());
   for (u32 idx = 0; idx < frags.size(); ++idx) {
@@ -192,27 +183,7 @@ void RapidsPipeline::store_level_locked(const std::string& name, u32 level,
     };
 
     u32 target = preferred;
-    bool stored = false;
-    if (cluster_.system(preferred).available()) {
-      // Streamed put: the fragment ships stripe by stripe, so a mid-stream
-      // outage or injected fault surfaces before the tail stripes are paid
-      // for. Nothing is visible on the system until the commit; any failure
-      // degrades to the whole-fragment retry/relocate path below.
-      try {
-        auto stream = cluster_.system(preferred).begin_put(frag);
-        const std::span<const u8> payload(frag.payload);
-        for (u64 lo = 0; lo < payload.size(); lo += stripe_bytes)
-          stream.append(payload.subspan(
-              lo, std::min(stripe_bytes, payload.size() - lo)));
-        stream.commit();
-        stored = true;
-        record_health(preferred, true);
-      } catch (const io_error&) {
-        ++stats.fallback_puts;
-        record_health(preferred, false);
-      }
-    }
-    if (!stored) stored = try_put(preferred, 0xA0);
+    bool stored = try_put(preferred, 0xA0);
     if (!stored) {
       // Persistent failure: re-place on the least-loaded available
       // system (deterministic order: health-allowed first, then fewest
@@ -249,204 +220,65 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   PrepareReport report;
   Timer total;
 
-  const bool concurrent = pool_ != nullptr && pool_->size() > 1;
-  const u64 stripe_bytes = std::max<u64>(config_.stream_stripe_bytes, 1);
-
-  struct LevelWork {
-    u32 level = 0;
-    mgard::RetrievalLevel lvl;
-  };
-  struct EncodedLevel {
-    mgard::RetrievalLevel lvl;
-    std::vector<ec::Fragment> frags;
-    f64 encode_seconds = 0.0;
-  };
-
-  // Aggregation state shared by the producer (the refactor thread, which
-  // may help downstream when the channel backs up) and the pump task.
-  // agg_mu guards all of it; io_mu_ is only ever taken with agg_mu released.
-  std::mutex agg_mu;
-  std::optional<FtSolution> solution;  // set by the plan sink before level 0
-  std::vector<mgard::RetrievalLevel> stored_levels;
-  std::map<u32, EncodedLevel> ready;  // encoded, waiting for store order
-  u32 next_store = 0;
-  bool storing = false;
-  StoreStats stats;
-  f64 optimize_seconds = 0.0;
-  f64 encode_seconds = 0.0;
-  f64 store_seconds = 0.0;
-  f64 sim_finish = 0.0;  // max over levels: store-start wall + WAN latency
-
-  const auto on_plan = [&](const mgard::RefactoredObject& meta,
-                           const std::vector<u64>& level_sizes) {
-    // All level sizes are known from the retrieval plan before any payload
-    // is serialized — the FT optimizer runs here, ahead of the stream.
-    Timer ot;
-    FtProblem problem;
-    problem.n = n;
-    problem.p = cluster_.config().failure_prob;
-    problem.original_size = meta.original_bytes();
-    problem.overhead_budget = config_.overhead_budget;
-    for (u32 j = 0; j < level_sizes.size(); ++j) {
-      problem.level_sizes.push_back(level_sizes[j]);
-      problem.level_errors.push_back(meta.rel_error_bound(j + 1));
-    }
-    auto sol = ft_optimize_heuristic(problem);
-    RAPIDS_REQUIRE_MSG(sol.has_value(),
-                       "prepare: no FT configuration fits the overhead budget");
-    std::lock_guard<std::mutex> al(agg_mu);
-    solution = std::move(*sol);
-    stored_levels.resize(level_sizes.size());
-    optimize_seconds = ot.seconds();
-  };
-
-  const auto process_level = [&](LevelWork&& w) {
-    // Stripe-granular RS encode: fixed-size stripes fan out on the pool, so
-    // this level's parity overlaps the refactorer's next level (and, via the
-    // conveyor below, the previous level's WAN puts).
-    Timer et;
-    const u32 m = solution->m[w.level];
-    const ec::ReedSolomon rs(n - m, m, config_.matrix_kind);
-    const std::span<const u8> payload = payload_u8(w.lvl.payload);
-    std::vector<ec::Fragment> frags =
-        rs.make_fragments(payload.size(), name, w.level);
-    const u64 frag_size = frags.empty() ? 0 : frags[0].payload.size();
-    if (concurrent && frag_size > stripe_bytes) {
-      TaskGroup group(pool_);
-      for (u64 lo = 0; lo < frag_size; lo += stripe_bytes) {
-        const u64 hi = std::min(lo + stripe_bytes, frag_size);
-        group.run([&rs, payload, lo, hi, &frags] {
-          rs.encode_stripe(payload, lo, hi, frags);
-        });
-      }
-      group.wait();
-    } else {
-      rs.encode_stripe(payload, 0, frag_size, frags);
-    }
-    rs.finish_fragments(frags, concurrent ? pool_ : nullptr);
-    const f64 enc = et.seconds();
-
-    // Conveyor: stores run strictly in level order (deterministic fault
-    // draws and location batches whatever the thread interleaving), one
-    // thread at a time, while other levels keep encoding.
-    std::unique_lock<std::mutex> al(agg_mu);
-    ready.emplace(w.level,
-                  EncodedLevel{std::move(w.lvl), std::move(frags), enc});
-    if (storing) return;
-    storing = true;
-    for (;;) {
-      const auto it = ready.find(next_store);
-      if (it == ready.end()) break;
-      const u32 level = it->first;
-      EncodedLevel el = std::move(it->second);
-      ready.erase(it);
-      encode_seconds += el.encode_seconds;
-      al.unlock();
-      const f64 begin_wall = total.seconds();
-      Timer st;
-      StoreStats level_stats;
-      {
-        std::lock_guard<std::mutex> lock(io_mu_);
-        store_level_locked(name, level, el.frags, level_stats);
-      }
-      const f64 store_wall = st.seconds();
-      const f64 level_latency = net::equal_share_latency(
-          level_stats.transfers, cluster_.bandwidths());
-      al.lock();
-      store_seconds += store_wall;
-      sim_finish = std::max(sim_finish, begin_wall + level_latency);
-      stats.fragments_stored += level_stats.fragments_stored;
-      stats.put_retries += level_stats.put_retries;
-      stats.relocations += level_stats.relocations;
-      stats.fallback_puts += level_stats.fallback_puts;
-      stats.backoff_seconds += level_stats.backoff_seconds;
-      stored_levels[level] = std::move(el.lvl);
-      ++next_store;
-    }
-    storing = false;
-  };
-
-  // Bounded channel refactor -> encode/distribute. Every push forks one
-  // short-lived drain task (pop one item, process it, exit) rather than a
-  // resident consumer loop: TaskGroup::wait() helps by inlining arbitrary
-  // queued tasks, so any task parked in this pool must terminate on its own
-  // — a consumer that loops until close() can be inlined into another
-  // prepare's join and deadlock the two streams against each other. Drain
-  // tasks never block: a failed try_pop means the item was already taken by
-  // the producer's self-pump (below) or an earlier task, and since each of
-  // the P pushes forks a task and try_pop only fails on an empty queue,
-  // all P items are processed before the group joins.
-  std::optional<Channel<LevelWork>> channel;
-  std::optional<TaskGroup> drains;
-  if (concurrent) {
-    channel.emplace(kStreamLevelWindow);
-    drains.emplace(pool_);
-  }
-
   mgard::RefactorTimings rt;
-  mgard::RefactoredObject obj;
-  std::exception_ptr err;
-  try {
-    obj = refactorer_.refactor_streaming(
-        data, dims, name, on_plan,
-        [&](u32 j, mgard::RetrievalLevel&& lvl) {
-          LevelWork w{j, std::move(lvl)};
-          if (!concurrent) {
-            process_level(std::move(w));
-            return;
-          }
-          // Self-pump backpressure: a full window turns into work, never a
-          // blocked refactor thread.
-          while (!channel->try_push(std::move(w))) {
-            LevelWork other;
-            if (channel->try_pop(other))
-              process_level(std::move(other));
-            else
-              std::this_thread::yield();
-          }
-          drains->run([&] {
-            LevelWork got;
-            if (channel->try_pop(got)) process_level(std::move(got));
-          });
-        },
-        &rt);
-  } catch (...) {
-    err = std::current_exception();
+  mgard::RefactoredObject obj = refactorer_.refactor(data, dims, name, &rt);
+
+  Timer ot;
+  FtProblem problem;
+  problem.n = n;
+  problem.p = cluster_.config().failure_prob;
+  problem.original_size = obj.original_bytes();
+  problem.overhead_budget = config_.overhead_budget;
+  for (u32 j = 0; j < obj.levels.size(); ++j) {
+    problem.level_sizes.push_back(obj.level_bytes(j));
+    problem.level_errors.push_back(obj.rel_error_bound(j + 1));
   }
-  if (channel) channel->close();
-  if (drains) {
-    try {
-      drains->wait();
-    } catch (...) {
-      if (!err) err = std::current_exception();
+  const auto solution = ft_optimize_heuristic(problem);
+  RAPIDS_REQUIRE_MSG(solution.has_value(),
+                     "prepare: no FT configuration fits the overhead budget");
+  report.optimize_seconds = ot.seconds();
+
+  // Erasure-code and distribute each level in ascending order: the encode
+  // stripes over the pool outside io_mu_, the puts run under it. Level order
+  // keeps fault draws and location batches deterministic.
+  f64 sim_finish = 0.0;  // max over levels: store-start wall + WAN latency
+  for (u32 j = 0; j < obj.levels.size(); ++j) {
+    Timer et;
+    const u32 m = solution->m[j];
+    const ec::ReedSolomon rs(n - m, m, config_.matrix_kind);
+    const std::vector<ec::Fragment> frags =
+        rs.encode(payload_u8(obj.levels[j].payload), name, j, pool_);
+    report.encode_seconds += et.seconds();
+
+    const f64 begin_wall = total.seconds();
+    Timer st;
+    StoreStats stats;
+    {
+      std::lock_guard<std::mutex> lock(io_mu_);
+      store_level_locked(name, j, frags, stats);
     }
+    report.store_seconds += st.seconds();
+    sim_finish = std::max(
+        sim_finish, begin_wall + net::equal_share_latency(stats.transfers,
+                                                          cluster_.bandwidths()));
+    report.fragments_stored += stats.fragments_stored;
+    report.put_retries += stats.put_retries;
+    report.relocations += stats.relocations;
+    report.backoff_seconds += stats.backoff_seconds;
   }
-  if (err) std::rethrow_exception(err);
-  RAPIDS_REQUIRE_MSG(next_store == stored_levels.size(),
-                     "prepare: streaming dataflow lost a level");
 
   report.transform_seconds = rt.transform_seconds;
   report.plane_encode_seconds = rt.plane_encode_seconds;
   report.plane_codec = rt.plane_codec;
   report.refactor_seconds =
       rt.transform_seconds + rt.plane_encode_seconds + rt.assemble_seconds;
-  report.optimize_seconds = optimize_seconds;
-  report.encode_seconds = encode_seconds;
-  report.store_seconds = store_seconds;
-  report.fragments_stored = stats.fragments_stored;
-  report.put_retries = stats.put_retries;
-  report.relocations = stats.relocations;
-  report.stream_fallback_puts = stats.fallback_puts;
-  report.backoff_seconds = stats.backoff_seconds;
 
-  // Reattach the streamed payloads: the record's level sizes come from them.
-  obj.levels = std::move(stored_levels);
-
+  // The record takes the refactored object whole (payloads moved, not
+  // copied); serialize() writes only its metadata.
   ObjectRecord record;
-  record.meta = obj;
+  record.meta = std::move(obj);
   record.ft = solution->m;
-  for (u32 j = 0; j < obj.levels.size(); ++j)
-    record.level_sizes.push_back(obj.level_bytes(j));
+  record.level_sizes = problem.level_sizes;
   record.matrix_kind = config_.matrix_kind;
   record.placement = config_.placement;
   record.planned_p = cluster_.config().failure_prob;
@@ -454,7 +286,7 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   const Bytes record_bytes = record.serialize();
   {
     std::lock_guard<std::mutex> lock(io_mu_);
-    const auto prior = lookup(name);
+    const auto prior = lookup_locked(name);
     db_.put(object_key(name),
             std::string(reinterpret_cast<const char*>(record_bytes.data()),
                         record_bytes.size()));
@@ -469,20 +301,25 @@ PrepareReport RapidsPipeline::prepare(std::span<const f32> data,
   report.expected_error = solution->expected_error;
   report.storage_overhead = solution->storage_overhead;
   report.network_overhead = ft_network_overhead(
-      n, solution->m, record.level_sizes, obj.original_bytes());
+      n, solution->m, record.level_sizes, record.meta.original_bytes());
   report.distribution_latency = net::equal_share_latency(
       rfec_distribution_plan(record.level_sizes, solution->m, n),
       cluster_.bandwidths());
-  // Each level's puts started while later levels still refactored, so the
-  // end-to-end latency is the worst (store-start wall + that level's WAN
-  // share), not compute-wall + whole-plan latency.
-  report.prepare_latency = sim_finish + stats.backoff_seconds;
-  record.meta.levels = std::move(obj.levels);  // keep payloads in the report
+  // Each level's puts start once it is encoded, so the end-to-end latency is
+  // the worst (store-start wall + that level's WAN share), not compute wall
+  // + whole-plan latency.
+  report.prepare_latency = sim_finish + report.backoff_seconds;
   report.record = std::move(record);
   return report;
 }
 
-std::optional<ObjectRecord> RapidsPipeline::lookup(const std::string& name) const {
+std::optional<ObjectRecord> RapidsPipeline::lookup(const std::string& name) {
+  std::lock_guard<std::mutex> lock(io_mu_);
+  return lookup_locked(name);
+}
+
+std::optional<ObjectRecord> RapidsPipeline::lookup_locked(
+    const std::string& name) const {
   const auto raw = db_.get(object_key(name));
   if (!raw) return std::nullopt;
   return ObjectRecord::deserialize(
@@ -561,9 +398,13 @@ void RapidsPipeline::record_health(u32 system, bool ok,
     health().record_failure(system);
 }
 
-std::vector<f64> RapidsPipeline::bandwidth_estimates() const {
-  if (config_.adapt_bandwidth && tracker_) return tracker_->estimates();
-  return cluster_.bandwidths();
+std::vector<f64> RapidsPipeline::bandwidth_estimates() {
+  std::lock_guard<std::mutex> lock(io_mu_);
+  return bandwidth_estimates_locked();
+}
+
+std::vector<f64> RapidsPipeline::bandwidth_estimates_locked() {
+  return config_.adapt_bandwidth ? tracker().estimates() : cluster_.bandwidths();
 }
 
 GatherPlan RapidsPipeline::plan_gather(const GatherProblem& problem) const {
@@ -652,13 +493,12 @@ void RapidsPipeline::snapshot_problem(const std::string& name,
   // from the learned tracker when adaptation is on (paper Section 4.3).
   // Metadata lookup + availability/bandwidth snapshot touch shared state.
   std::lock_guard<std::mutex> lock(io_mu_);
-  record = lookup(name);
+  record = lookup_locked(name);
   RAPIDS_REQUIRE_MSG(record.has_value(), "restore: unknown object " + name);
   problem.n = n;
   problem.m = record->ft;
   problem.level_sizes = record->level_sizes;
-  problem.bandwidths =
-      config_.adapt_bandwidth ? tracker().estimates() : cluster_.bandwidths();
+  problem.bandwidths = bandwidth_estimates_locked();
   problem.available.resize(n);
   for (u32 i = 0; i < n; ++i)
     problem.available[i] = cluster_.system(i).available();
@@ -842,8 +682,8 @@ bool RapidsPipeline::fetch_levels(const ObjectRecord& record,
 
     // Fetch and decode level by level, ascending: as soon as a level's
     // quorum lands it is decoded and announced, while deeper levels are
-    // still in flight — the decode-as-stripes-land half of the streaming
-    // dataflow. io_mu_ is held per level, not across the whole gather.
+    // still in flight. io_mu_ is held per level, not across the whole
+    // gather.
     for (u32 j = 0; j < nsub && !bad_system; ++j) {
       const u32 real = levels[rem[j]];
       std::vector<ec::Fragment> frags;
@@ -1204,7 +1044,7 @@ void RapidsPipeline::repair_fragment(const std::string& name, u32 level,
 
 void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
                                             u32 index, u32 target_system) {
-  const auto record = lookup(name);
+  const auto record = lookup_locked(name);
   RAPIDS_REQUIRE_MSG(record.has_value(), "repair: unknown object " + name);
   const std::string sname = record->storage_name(name);
   const ec::ReedSolomon rs = codec_for(*record, level);
@@ -1238,7 +1078,8 @@ void RapidsPipeline::repair_fragment_locked(const std::string& name, u32 level,
   db_.put_batch({&location, 1});
 }
 
-std::vector<std::string> RapidsPipeline::list_objects() const {
+std::vector<std::string> RapidsPipeline::list_objects() {
+  std::lock_guard<std::mutex> lock(io_mu_);
   std::vector<std::string> out;
   for (const auto& [key, value] : db_.scan_prefix("obj/"))
     out.push_back(key.substr(4));
@@ -1250,7 +1091,7 @@ RapidsPipeline::ScrubReport RapidsPipeline::scrub(const std::string& name,
   std::optional<ObjectRecord> record;
   {
     std::lock_guard<std::mutex> lock(io_mu_);
-    record = lookup(name);
+    record = lookup_locked(name);
   }
   RAPIDS_REQUIRE_MSG(record.has_value(), "scrub: unknown object " + name);
   const std::string sname = record->storage_name(name);
@@ -1289,7 +1130,7 @@ RapidsPipeline::ScrubReport RapidsPipeline::scrub(const std::string& name,
 
 u64 RapidsPipeline::age_object(const std::string& name, u32 keep_levels) {
   std::lock_guard<std::mutex> lock(io_mu_);
-  auto record = lookup(name);
+  auto record = lookup_locked(name);
   RAPIDS_REQUIRE_MSG(record.has_value(), "age: unknown object " + name);
   const u32 current = static_cast<u32>(record->ft.size());
   RAPIDS_REQUIRE_MSG(keep_levels >= 1 && keep_levels < current,
@@ -1328,7 +1169,7 @@ u64 RapidsPipeline::age_object(const std::string& name, u32 keep_levels) {
 
 u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
   std::lock_guard<std::mutex> lock(io_mu_);
-  const auto record = lookup(name);
+  const auto record = lookup_locked(name);
   RAPIDS_REQUIRE_MSG(record.has_value(), "evacuate: unknown object " + name);
   const u32 n = cluster_.size();
   RAPIDS_REQUIRE(system < n);
@@ -1387,23 +1228,6 @@ u32 RapidsPipeline::evacuate_system(const std::string& name, u32 system) {
 
 f64 RapidsPipeline::nominal_failure_prob() const {
   return cluster_.config().failure_prob;
-}
-
-std::optional<ObjectRecord> RapidsPipeline::snapshot_record(
-    const std::string& name) {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return lookup(name);
-}
-
-std::vector<std::string> RapidsPipeline::snapshot_object_names() {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  return list_objects();
-}
-
-std::vector<f64> RapidsPipeline::snapshot_bandwidths() {
-  std::lock_guard<std::mutex> lock(io_mu_);
-  if (config_.adapt_bandwidth) return tracker().estimates();
-  return cluster_.bandwidths();
 }
 
 std::vector<f64> RapidsPipeline::failure_prob_estimates(f64 prior_strength) {
@@ -1485,7 +1309,7 @@ u64 RapidsPipeline::store_level_generation(const std::string& name,
   std::optional<ObjectRecord> record;
   {
     std::lock_guard<std::mutex> lock(io_mu_);
-    record = lookup(name);
+    record = lookup_locked(name);
   }
   RAPIDS_REQUIRE_MSG(record.has_value(),
                      "store_level_generation: unknown object " + name);
@@ -1518,7 +1342,7 @@ void RapidsPipeline::flip_generation(const std::string& name,
                                      f64 planned_error) {
   {
     std::lock_guard<std::mutex> lock(io_mu_);
-    auto record = lookup(name);
+    auto record = lookup_locked(name);
     RAPIDS_REQUIRE_MSG(record.has_value(),
                        "flip_generation: unknown object " + name);
     RAPIDS_REQUIRE_MSG(new_ft.size() == record->ft.size(),
@@ -1544,7 +1368,7 @@ void RapidsPipeline::flip_generation(const std::string& name,
 
 u64 RapidsPipeline::gc_generation(const std::string& name, u32 generation) {
   std::lock_guard<std::mutex> lock(io_mu_);
-  const auto record = lookup(name);
+  const auto record = lookup_locked(name);
   RAPIDS_REQUIRE_MSG(!record || record->generation != generation,
                      "gc_generation: refusing to drop the live generation");
   return gc_generation_locked(name, generation);

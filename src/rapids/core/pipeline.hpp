@@ -86,13 +86,6 @@ struct PipelineConfig {
   /// level. 0 disables caching (every restore refetches, the pre-cache
   /// behavior).
   u64 restore_cache_bytes = 256ull << 20;
-
-  // --- streaming dataflow (fragment-granular pipelining) ---
-
-  /// Stripe width for the fragment-granular RS encode and the streamed WAN
-  /// puts: stripe s of a level encodes (and ships) while stripe s+1 is still
-  /// in flight and later levels still refactor.
-  u64 stream_stripe_bytes = 256 * 1024;
 };
 
 /// Storage-key name of one encoding generation of an object: generation 0
@@ -136,9 +129,9 @@ struct PrepareReport {
   f64 storage_overhead = 0.0;    ///< Eq. 6 (parity bytes / original bytes)
   f64 network_overhead = 0.0;    ///< shipped bytes / original bytes
   f64 distribution_latency = 0;  ///< simulated WAN latency (equal share)
-  /// End-to-end prepare latency: each level's puts start while later levels
-  /// still refactor, so this is max_j(store-start wall of level j + level
-  /// j's simulated WAN latency) plus the simulated retry backoff.
+  /// End-to-end prepare latency: max_j(store-start wall of level j + level
+  /// j's simulated WAN latency) plus the simulated retry backoff. Level j's
+  /// puts start once it is encoded, while later levels still wait.
   f64 prepare_latency = 0.0;
   f64 refactor_seconds = 0.0;       ///< transform + plane encode + assemble
   f64 transform_seconds = 0.0;      ///< widen/pad/multigrid share of refactor
@@ -147,16 +140,12 @@ struct PrepareReport {
   /// bytes, and the raw/sparse/zero/Rice mode histogram.
   mgard::CodecStats plane_codec;
   f64 optimize_seconds = 0.0;
-  f64 encode_seconds = 0.0;  ///< RS encode, summed across levels (they
-                             ///< overlap, so the sum may exceed wall)
+  f64 encode_seconds = 0.0;  ///< RS encode, summed across levels
   f64 store_seconds = 0.0;   ///< distribution puts, summed across levels
   u64 fragments_stored = 0;
   u32 put_retries = 0;       ///< transient put failures absorbed by retry
   u32 relocations = 0;       ///< fragments re-placed after persistent failure
   f64 backoff_seconds = 0.0; ///< simulated backoff charged to distribution
-  u32 stream_fallback_puts = 0;  ///< streamed puts that fell back to a
-                                 ///< whole-fragment retry after a mid-stream
-                                 ///< fault or outage
 };
 
 /// One object of a prepare_batch(): the caller keeps `data` alive until the
@@ -282,11 +271,10 @@ class RapidsPipeline {
   /// plane.
   f64 nominal_failure_prob() const;
 
-  /// Full data-preparation phase for one object. The refactorer hands each
-  /// retrieval level to stripe-granular RS encode and distribution as it
-  /// materializes, so level j's WAN puts start while level j+1 still
-  /// refactors. With a pool the levels ride a bounded channel; without one
-  /// each level is encoded and stored inline.
+  /// Full data-preparation phase for one object, one step after another:
+  /// refactor, choose the FT configuration (Algorithm 1), then per level in
+  /// ascending order erasure-code (striped over the pool, when there is one)
+  /// and distribute its fragments, then write the metadata record.
   PrepareReport prepare(std::span<const f32> data, mgard::Dims dims,
                         const std::string& name);
 
@@ -360,11 +348,12 @@ class RapidsPipeline {
   storage::RestoreCache& restore_cache() { return restore_cache_; }
 
   /// The pipeline's current per-system bandwidth estimates: the tracker's
-  /// learned values when adapt_bandwidth is on, else the cluster's.
-  std::vector<f64> bandwidth_estimates() const;
+  /// learned values (loaded from the metadata store on first use) when
+  /// adapt_bandwidth is on, else the cluster's.
+  std::vector<f64> bandwidth_estimates();
 
   /// Metadata lookup (nullopt if the object was never prepared).
-  std::optional<ObjectRecord> lookup(const std::string& name) const;
+  std::optional<ObjectRecord> lookup(const std::string& name);
 
   /// The per-system health tracker (circuit breakers + error/latency
   /// counters), lazily loaded from the metadata store. Mutating it directly
@@ -384,7 +373,7 @@ class RapidsPipeline {
   u32 evacuate_system(const std::string& name, u32 system);
 
   /// Names of every prepared object, in key order.
-  std::vector<std::string> list_objects() const;
+  std::vector<std::string> list_objects();
 
   /// Outcome of a scrub pass over one object.
   struct ScrubReport {
@@ -410,19 +399,10 @@ class RapidsPipeline {
 
   // --- control-plane surface (background controller, CLI status) ---
   //
-  // Everything below takes the pipeline's I/O lock internally, so a
-  // background controller thread can drive it while foreground prepares /
-  // restores are in flight.
-
-  /// Metadata lookup under the I/O lock (lookup() itself is unsynchronized
-  /// and meant for single-threaded callers).
-  std::optional<ObjectRecord> snapshot_record(const std::string& name);
-
-  /// list_objects() under the I/O lock.
-  std::vector<std::string> snapshot_object_names();
-
-  /// Current per-system bandwidth estimates under the I/O lock.
-  std::vector<f64> snapshot_bandwidths();
+  // Like lookup(), list_objects() and bandwidth_estimates(), everything
+  // below takes the pipeline's I/O lock internally, so a background
+  // controller thread can drive it while foreground prepares / restores are
+  // in flight.
 
   /// Per-system failure-probability estimates for re-evaluation: the health
   /// tracker's Beta-smoothed counter estimate (prior = the cluster's nominal
@@ -459,11 +439,11 @@ class RapidsPipeline {
 
   /// Phase 1 of a migration step: re-encode one level payload with parity
   /// count `m_new` and store its fragments under generation `generation`'s
-  /// keys (streamed puts with the usual retry / relocate / health
-  /// machinery). The object's live record is untouched — restores keep
-  /// serving the old generation. Re-running the same call
-  /// overwrites the same keys, so phase-1 resume after a crash is a plain
-  /// replay. Returns fragment bytes shipped.
+  /// keys (puts with the usual retry / relocate / health machinery). The
+  /// object's live record is untouched — restores keep serving the old
+  /// generation. Re-running the same call overwrites the same keys, so
+  /// phase-1 resume after a crash is a plain replay. Returns fragment bytes
+  /// shipped.
   u64 store_level_generation(const std::string& name, u32 generation,
                              u32 level, u32 m_new,
                              std::span<const std::byte> payload);
@@ -495,14 +475,12 @@ class RapidsPipeline {
     u64 fragments_stored = 0;
     u32 put_retries = 0;
     u32 relocations = 0;
-    u32 fallback_puts = 0;
     f64 backoff_seconds = 0.0;
     std::vector<net::Transfer> transfers;  ///< (target system, bytes) per put
   };
   /// Distribute one level's fragments (placement, retry, relocation, health,
-  /// per-level location batch). Caller holds io_mu_. Each fragment ships
-  /// through a streamed put in stream_stripe_bytes stripes, falling back to
-  /// the whole-fragment retry path on a mid-stream fault.
+  /// per-level location batch). Caller holds io_mu_. Each fragment goes
+  /// through one retried put on its placed system, then relocation.
   void store_level_locked(const std::string& name, u32 level,
                           const std::vector<ec::Fragment>& frags,
                           StoreStats& stats);
@@ -515,6 +493,9 @@ class RapidsPipeline {
                                 std::optional<f64> rel_bound,
                                 const RestoreOptions& opts);
   ec::ReedSolomon codec_for(const ObjectRecord& record, u32 level) const;
+  /// lookup() / bandwidth_estimates() bodies; caller holds io_mu_.
+  std::optional<ObjectRecord> lookup_locked(const std::string& name) const;
+  std::vector<f64> bandwidth_estimates_locked();
   net::BandwidthTracker& tracker();
   void persist_tracker();
   storage::SystemHealth& health();

@@ -41,59 +41,44 @@ ReedSolomon::ReedSolomon(u32 k, u32 m, MatrixKind kind)
                                                     : Matrix::rs_cauchy(k, m);
 }
 
-std::vector<Fragment> ReedSolomon::make_fragments(u64 data_size,
-                                                  const std::string& object_name,
-                                                  u32 level) const {
-  const u64 frag_size = fragment_size(data_size);
+std::vector<Fragment> ReedSolomon::encode(std::span<const u8> data,
+                                          const std::string& object_name,
+                                          u32 level, ThreadPool* pool) const {
+  // Zeroed shells: bytes past data.size() keep the padding.
+  const u64 frag_size = fragment_size(data.size());
   std::vector<Fragment> frags(n());
   for (u32 i = 0; i < n(); ++i) {
     Fragment& f = frags[i];
     f.id = FragmentId{object_name, level, i};
     f.k = k_;
     f.m = m_;
-    f.level_bytes = data_size;
+    f.level_bytes = data.size();
     f.payload.assign(frag_size, 0);
   }
-  return frags;
-}
 
-void ReedSolomon::encode_stripe(std::span<const u8> data, u64 lo, u64 hi,
-                                std::span<Fragment> frags) const {
-  RAPIDS_REQUIRE_MSG(frags.size() == n(), "encode_stripe: need all n shells");
-  const u64 frag_size = frags[0].payload.size();
-  RAPIDS_REQUIRE_MSG(frag_size == fragment_size(data.size()),
-                     "encode_stripe: shells built for a different data size");
-  lo = std::min(lo, frag_size);
-  hi = std::min(hi, frag_size);
-  if (lo >= hi) return;
-
-  // Data rows: contiguous slices of the (conceptually zero-padded) input.
-  // The shells start zeroed, so the slice of a row past data.size() simply
-  // keeps its padding.
-  for (u32 i = 0; i < k_; ++i) {
-    const u64 off = u64{i} * frag_size + lo;
-    if (off < data.size()) {
-      const u64 len = std::min<u64>(hi - lo, data.size() - off);
-      std::memcpy(frags[i].payload.data() + lo, data.data() + off, len);
-    }
-  }
-
-  // Parity rows: the bottom m rows of the encode matrix applied to the data
-  // rows in one fused kernel call. Parity byte o depends only on the data
-  // rows' byte o, so this range is independent of every other range.
+  // Parity byte o depends only on the data rows' byte o, so disjoint payload
+  // ranges encode independently, in any order.
   const u8* parity_coeffs = encode_matrix_.flat().data() + u64{k_} * k_;
-  u8* dsts[255];
-  const u8* srcs[255];
-  for (u32 pi = 0; pi < m_; ++pi) dsts[pi] = frags[k_ + pi].payload.data() + lo;
-  for (u32 di = 0; di < k_; ++di) srcs[di] = frags[di].payload.data() + lo;
-  simd::matrix_apply(dsts, m_, srcs, k_, parity_coeffs, hi - lo,
-                     /*accumulate=*/false);
-}
+  for_each_stripe(frag_size, pool, [&](u64 lo, u64 hi) {
+    if (lo >= hi) return;
+    // Data rows: contiguous slices of the (conceptually zero-padded) input.
+    for (u32 i = 0; i < k_; ++i) {
+      const u64 off = u64{i} * frag_size + lo;
+      if (off < data.size()) {
+        const u64 len = std::min<u64>(hi - lo, data.size() - off);
+        std::memcpy(frags[i].payload.data() + lo, data.data() + off, len);
+      }
+    }
+    // Parity rows: the bottom m rows of the encode matrix applied to the
+    // data rows in one fused kernel call.
+    u8* dsts[255];
+    const u8* srcs[255];
+    for (u32 pi = 0; pi < m_; ++pi) dsts[pi] = frags[k_ + pi].payload.data() + lo;
+    for (u32 di = 0; di < k_; ++di) srcs[di] = frags[di].payload.data() + lo;
+    simd::matrix_apply(dsts, m_, srcs, k_, parity_coeffs, hi - lo,
+                       /*accumulate=*/false);
+  });
 
-void ReedSolomon::finish_fragments(std::span<Fragment> frags,
-                                   ThreadPool* pool) const {
-  RAPIDS_REQUIRE_MSG(frags.size() == n(), "finish_fragments: need all n shells");
-  const u64 frag_size = frags[0].payload.size();
   // Fragment checksums are independent — fan them out for large payloads.
   if (pool != nullptr && frag_size >= kParallelCrcMin) {
     pool->parallel_for(
@@ -102,19 +87,6 @@ void ReedSolomon::finish_fragments(std::span<Fragment> frags,
   } else {
     for (auto& f : frags) f.payload_crc = fragment_crc(f.payload);
   }
-}
-
-std::vector<Fragment> ReedSolomon::encode(std::span<const u8> data,
-                                          const std::string& object_name,
-                                          u32 level, ThreadPool* pool) const {
-  // The staged encode is the streaming one over pool-sized stripes: same
-  // copies, same fused parity kernel per range, so staged and streamed
-  // fragments are byte-identical by construction.
-  std::vector<Fragment> frags = make_fragments(data.size(), object_name, level);
-  const u64 frag_size = frags[0].payload.size();
-  for_each_stripe(frag_size, pool,
-                  [&](u64 lo, u64 hi) { encode_stripe(data, lo, hi, frags); });
-  finish_fragments(frags, pool);
   return frags;
 }
 
@@ -200,59 +172,6 @@ std::vector<u8> ReedSolomon::decode(std::span<const Fragment> fragments,
   std::vector<u8> stripes = decode_rows(fragments, &level_bytes, pool);
   stripes.resize(level_bytes);  // strip zero padding
   return stripes;
-}
-
-void ReedSolomon::decode_stripe(std::span<const Fragment> fragments, u64 lo,
-                                u64 hi, std::span<u8> out) const {
-  RAPIDS_REQUIRE_MSG(fragments.size() >= k_,
-                     "RS decode_stripe: need at least k fragments");
-  const u64 frag_size = fragments[0].payload.size();
-  RAPIDS_REQUIRE_MSG(lo <= hi && hi <= frag_size,
-                     "RS decode_stripe: range outside the fragment payload");
-  const u64 len = hi - lo;
-  RAPIDS_REQUIRE_MSG(out.size() == u64{k_} * len,
-                     "RS decode_stripe: output must be k * (hi - lo) bytes");
-  if (len == 0) return;
-
-  // Same survivor selection as decode(): first k distinct healthy fragments.
-  std::vector<const Fragment*> chosen;
-  std::vector<u32> rows;
-  chosen.reserve(k_);
-  rows.reserve(k_);
-  std::bitset<255> seen;
-  for (const Fragment& f : fragments) {
-    RAPIDS_REQUIRE_MSG(f.k == k_ && f.m == m_,
-                       "RS decode_stripe: geometry mismatch");
-    RAPIDS_REQUIRE_MSG(f.payload.size() == frag_size,
-                       "RS decode_stripe: fragment size mismatch");
-    RAPIDS_REQUIRE_MSG(f.id.index < n(),
-                       "RS decode_stripe: fragment index out of range");
-    if (seen.test(f.id.index)) continue;
-    if (!f.verify()) continue;
-    seen.set(f.id.index);
-    chosen.push_back(&f);
-    rows.push_back(f.id.index);
-    if (chosen.size() == k_) break;
-  }
-  RAPIDS_REQUIRE_MSG(chosen.size() == k_,
-                     "RS decode_stripe: need k distinct healthy fragments");
-
-  const bool all_data =
-      std::all_of(rows.begin(), rows.end(), [this](u32 r) { return r < k_; });
-  if (all_data) {
-    for (u64 i = 0; i < k_; ++i)
-      std::memcpy(out.data() + u64{rows[i]} * len,
-                  chosen[i]->payload.data() + lo, len);
-    return;
-  }
-  const Matrix sub = encode_matrix_.select_rows(rows);
-  const Matrix dec = sub.inverted();
-  const u8* coeffs = dec.flat().data();
-  u8* dsts[255];
-  const u8* srcs[255];
-  for (u32 r = 0; r < k_; ++r) dsts[r] = out.data() + u64{r} * len;
-  for (u32 in = 0; in < k_; ++in) srcs[in] = chosen[in]->payload.data() + lo;
-  simd::matrix_apply(dsts, k_, srcs, k_, coeffs, len, /*accumulate=*/false);
 }
 
 Fragment ReedSolomon::reconstruct_fragment(std::span<const Fragment> survivors,

@@ -44,51 +44,11 @@ class ReedSolomon {
   /// Encode `data` into k data + m parity fragments for object/level
   /// identified by (object_name, level). Fragment payloads are
   /// fragment_size(data.size()) bytes each; CRCs are filled in. If `pool` is
-  /// non-null, parity computation is striped across it.
+  /// non-null, the data-row copies and parity computation are striped across
+  /// it; the fragments are byte-identical with or without a pool.
   std::vector<Fragment> encode(std::span<const u8> data,
                                const std::string& object_name, u32 level,
                                ThreadPool* pool = nullptr) const;
-
-  // --- stripe-ranged entry points (streaming encode/decode) ---
-  //
-  // The systematic layout makes encoding separable by payload offset: parity
-  // byte o depends only on the data rows' byte o, so disjoint [lo, hi)
-  // ranges of one level can be encoded independently — by different tasks,
-  // in any order — and the stitched result is byte-identical to a whole-
-  // payload encode(). The streaming prepare path uses exactly this:
-  // make_fragments once, encode_stripe per fixed-size stripe as tasks,
-  // finish_fragments when every stripe has landed.
-
-  /// Build the n fragment shells for a level of `data_size` bytes: ids,
-  /// geometry, and zeroed payloads of fragment_size(data_size) bytes. CRCs
-  /// are left unset (finish_fragments fills them).
-  std::vector<Fragment> make_fragments(u64 data_size,
-                                       const std::string& object_name,
-                                       u32 level) const;
-
-  /// Encode payload range [lo, hi) — any range, no alignment requirement —
-  /// into shells previously built by make_fragments for this very `data`
-  /// size: copies the data rows' slices and computes the parity rows' slices
-  /// in place. Ranges are clamped to the fragment size; disjoint ranges may
-  /// run concurrently. Bytes outside every encoded range keep the shells'
-  /// zero padding, so covering [0, fragment_size) in stripes of any width
-  /// reproduces encode() byte-for-byte.
-  void encode_stripe(std::span<const u8> data, u64 lo, u64 hi,
-                     std::span<Fragment> frags) const;
-
-  /// Fill every shell's payload CRC once all stripes are encoded (fanned out
-  /// over `pool` for large payloads). After this the fragments are
-  /// indistinguishable from encode() output.
-  void finish_fragments(std::span<Fragment> frags,
-                        ThreadPool* pool = nullptr) const;
-
-  /// Decode payload range [lo, hi) from any >= k surviving fragments into
-  /// `out`, row-major: out[i * (hi - lo) ..] is data row i's slice. Same
-  /// validation/CRC-skip rules as decode(); `out.size()` must be
-  /// k * (hi - lo). Stitching every stripe of [0, fragment_size) and
-  /// truncating to level_bytes reproduces decode() byte-for-byte.
-  void decode_stripe(std::span<const Fragment> fragments, u64 lo, u64 hi,
-                     std::span<u8> out) const;
 
   /// Reconstruct the original payload from any >= k surviving fragments
   /// (mixed data/parity, any order). Duplicate indices and fragments failing

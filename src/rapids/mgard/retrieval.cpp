@@ -26,8 +26,18 @@ void append_segment(ByteWriter& w, std::vector<SegmentRef>& refs, u32 dlevel,
 /// plane (u32) + the u32 length prefix put_bytes writes + the body.
 u64 segment_wire_bytes(u64 body) { return 4 + 4 + 4 + body; }
 
-}  // namespace
+/// The plan of one retrieval level before any payload is serialized: the
+/// segment sequence the greedy partitioner chose, the exact wire size that
+/// sequence will occupy, and the guaranteed bounds.
+struct RetrievalLevelPlan {
+  std::vector<SegmentRef> segments;
+  u64 payload_bytes = 0;      ///< serialized size of the segment sequence
+  f64 abs_error_bound = 0.0;  ///< after consuming levels 1..j
+  f64 rel_error_bound = 0.0;
+};
 
+/// Run the greedy partitioner over the plane sets without serializing any
+/// payload.
 std::vector<RetrievalLevelPlan> plan_retrieval_levels(
     const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,
     const RetrievalOptions& opt) {
@@ -111,6 +121,7 @@ std::vector<RetrievalLevelPlan> plan_retrieval_levels(
   return out;
 }
 
+/// Serialize one planned level's payload from the plane sets.
 RetrievalLevel materialize_retrieval_level(
     const std::vector<PlaneSet>& plane_sets, const RetrievalLevelPlan& plan) {
   RetrievalLevel lvl;
@@ -134,6 +145,8 @@ RetrievalLevel materialize_retrieval_level(
   lvl.segments = std::move(refs);
   return lvl;
 }
+
+}  // namespace
 
 std::vector<RetrievalLevel> assemble_retrieval_levels(
     const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,

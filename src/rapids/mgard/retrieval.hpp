@@ -51,36 +51,8 @@ struct RetrievalOptions {
   f64 bound_factor = 2.0;      ///< multilevel L-inf amplification constant
 };
 
-/// The plan of one retrieval level before any payload is serialized: the
-/// segment sequence the greedy partitioner chose, the exact wire size that
-/// sequence will occupy, and the guaranteed bounds. plan + materialize is the
-/// split the streaming prepare path runs on: planning every level up front
-/// yields all level sizes (the FT optimizer's input) without copying a byte,
-/// then each level's payload is materialized — and handed downstream — one
-/// at a time.
-struct RetrievalLevelPlan {
-  std::vector<SegmentRef> segments;
-  u64 payload_bytes = 0;      ///< serialized size of the segment sequence
-  f64 abs_error_bound = 0.0;  ///< after consuming levels 1..j
-  f64 rel_error_bound = 0.0;
-};
-
-/// Run the greedy partitioner over the plane sets without serializing any
-/// payload. `data_max_abs` is max|original data| (relative-error
-/// denominator).
-std::vector<RetrievalLevelPlan> plan_retrieval_levels(
-    const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,
-    const RetrievalOptions& opt);
-
-/// Serialize one planned level's payload from the plane sets. Byte-identical
-/// to the corresponding assemble_retrieval_levels() output level.
-RetrievalLevel materialize_retrieval_level(
-    const std::vector<PlaneSet>& plane_sets, const RetrievalLevelPlan& plan);
-
 /// Assemble retrieval levels from the per-decomposition-level plane sets.
 /// `data_max_abs` is max|original data| (denominator of the relative error).
-/// Implemented as plan_retrieval_levels + materialize_retrieval_level per
-/// level, so staged and streamed payloads agree by construction.
 std::vector<RetrievalLevel> assemble_retrieval_levels(
     const std::vector<PlaneSet>& plane_sets, f64 data_max_abs,
     const RetrievalOptions& opt);

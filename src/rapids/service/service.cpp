@@ -57,7 +57,7 @@ ObjectService::ObjectService(core::RapidsPipeline& pipeline,
     // Deterministic default: the cluster's mean per-system bandwidth. A
     // restore spreads a level across many systems, so this over-estimates
     // latency — conservative for deadline shedding.
-    const auto bw = pipe_.snapshot_bandwidths();
+    const auto bw = pipe_.bandwidth_estimates();
     f64 sum = 0.0;
     for (const f64 b : bw) sum += b;
     cost_rate_ = bw.empty() ? 1.0e9 : sum / static_cast<f64>(bw.size());
@@ -117,7 +117,7 @@ const ObjectService::Profile* ObjectService::profile_for(
     const std::string& object) {
   auto it = profiles_.find(object);
   if (it != profiles_.end()) return &it->second;
-  const auto rec = pipe_.snapshot_record(object);
+  const auto rec = pipe_.lookup(object);
   if (!rec) return nullptr;
   Profile p;
   p.level_bytes = rec->level_sizes;

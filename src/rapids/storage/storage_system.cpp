@@ -1,6 +1,5 @@
 #include "rapids/storage/storage_system.hpp"
 
-#include <algorithm>
 #include <filesystem>
 
 #include "rapids/util/bytes.hpp"
@@ -77,86 +76,6 @@ void StorageSystem::put(const ec::Fragment& fragment) {
     store_[key] = std::move(placeholder);
     sizes_[key] = fragment.payload.size();
   }
-}
-
-StorageSystem::PutStream::PutStream(StorageSystem* sys,
-                                    const ec::Fragment& header)
-    : sys_(sys) {
-  staged_.id = header.id;
-  staged_.k = header.k;
-  staged_.m = header.m;
-  staged_.level_bytes = header.level_bytes;
-  staged_.payload_crc = header.payload_crc;
-}
-
-void StorageSystem::PutStream::append(std::span<const u8> bytes) {
-  RAPIDS_REQUIRE_MSG(!done_, "PutStream: append after commit/abort");
-  if (!sys_->available())
-    throw io_error("storage system " + sys_->name_ + " is unavailable");
-  {
-    std::lock_guard<std::mutex> lock(sys_->mu_);
-    if (sys_->fault_profile_ &&
-        sys_->fault_profile_->next_put_fault() != PutFault::kNone) {
-      // Torn degrades to transient: nothing is persisted until commit, so
-      // there is nothing to tear — the chunk is simply refused.
-      throw io_error("storage system " + sys_->name_ +
-                     ": transient streamed append failure");
-    }
-  }
-  staged_.payload.insert(staged_.payload.end(), bytes.begin(), bytes.end());
-}
-
-void StorageSystem::PutStream::commit() {
-  RAPIDS_REQUIRE_MSG(!done_, "PutStream: commit after commit/abort");
-  done_ = true;
-  sys_->put(staged_);
-  staged_.payload.clear();
-  staged_.payload.shrink_to_fit();
-}
-
-void StorageSystem::PutStream::abort() {
-  done_ = true;
-  staged_.payload.clear();
-  staged_.payload.shrink_to_fit();
-}
-
-StorageSystem::PutStream StorageSystem::begin_put(const ec::Fragment& header) {
-  return PutStream(this, header);
-}
-
-std::optional<std::vector<u8>> StorageSystem::get_range(const std::string& key,
-                                                        u64 offset,
-                                                        u64 len) const {
-  if (!available())
-    throw io_error("storage system " + name_ + " is unavailable");
-  std::lock_guard<std::mutex> lock(mu_);
-  GetFault fault = GetFault::kNone;
-  if (fault_profile_) fault = fault_profile_->next_get_fault();
-  if (fault == GetFault::kTransient)
-    throw io_error("storage system " + name_ + ": transient get failure");
-
-  auto it = store_.find(key);
-  if (it == store_.end()) return std::nullopt;
-
-  const std::vector<u8>* payload = &it->second.payload;
-  ec::Fragment from_disk;
-  if (!dir_.empty()) {
-    try {
-      const Bytes raw = read_file(file_path(key));
-      from_disk = ec::Fragment::deserialize(as_bytes_view(raw));
-      payload = &from_disk.payload;
-    } catch (const io_error&) {
-      // Torn/unparseable on disk: the placeholder's empty payload yields a
-      // short read, which the caller's CRC check catches — same surfacing
-      // as get().
-    }
-  }
-  const u64 begin = std::min(offset, u64{payload->size()});
-  const u64 end = begin + std::min(len, u64{payload->size()} - begin);
-  std::vector<u8> out(payload->begin() + static_cast<std::ptrdiff_t>(begin),
-                      payload->begin() + static_cast<std::ptrdiff_t>(end));
-  if (fault == GetFault::kCorrupt) fault_profile_->corrupt_payload(out);
-  return out;
 }
 
 std::optional<ec::Fragment> StorageSystem::get(const std::string& key) const {

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <filesystem>
+#include <map>
+#include <string>
 #include <thread>
 
 #include "rapids/core/pipeline.hpp"
@@ -354,10 +356,9 @@ TEST(Chaos, CircuitBreakerShieldsFlakySystem) {
 }
 
 TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
-  // Pipelined encode-while-refactor with the put stream under cluster-wide
-  // transient faults and stragglers: the retry machinery must absorb the
-  // failures mid-stream and the prepared object must round-trip at full
-  // quality.
+  // Prepare under cluster-wide transient put faults and stragglers: the
+  // retry machinery must absorb the failures and the prepared object must
+  // round-trip at full quality.
   ThreadPool pool(4);
   const Dims dims{17, 17, 9};
   const auto field = data::hurricane_pressure(dims, 11);
@@ -375,7 +376,7 @@ TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
 
     const auto prep = w.pipeline->prepare(field, dims, "sp");
     EXPECT_GT(prep.put_retries, 0u) << "fail_prob " << fail_prob;
-    // Every level of the stream shipped one fragment per system.
+    // Every level shipped one fragment per system.
     EXPECT_EQ(prep.fragments_stored,
               u64{prep.record.ft.size()} * w.cluster.size());
     u64 total = 0;
@@ -389,11 +390,11 @@ TEST(Chaos, StreamingPrepareBoundsHoldUnderTransientPutFaults) {
   }
 }
 
-TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
-  // A system that rejects every put kills streamed uploads in flight: the
-  // stream falls back to whole-fragment retries, the breaker-backed
-  // relocation re-places the fragments, and the metadata points at where
-  // they actually landed — all while later levels are still refactoring.
+TEST(Chaos, PersistentPutFailureRelocatesFragmentsWithPool) {
+  // PersistentPutFailureRelocatesFragments with the encode striped over a
+  // pool: each fragment exhausts its retries on the rejecting system, the
+  // breaker-backed relocation re-places it, and the metadata points at
+  // where it actually landed.
   ThreadPool pool(4);
   World w("stream_reloc", chaos_config(), &pool);
   storage::FaultInjector injector;
@@ -407,7 +408,6 @@ TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
   const auto prep = w.pipeline->prepare(field, dims, "sr");
   EXPECT_GT(prep.relocations, 0u);
   EXPECT_GT(prep.put_retries, 0u);
-  EXPECT_GT(prep.stream_fallback_puts, 0u);  // faults landed mid-stream
   EXPECT_EQ(w.cluster.system(5).fragment_count(), 0u);
   u64 total = 0;
   for (u32 s = 0; s < w.cluster.size(); ++s)
@@ -420,9 +420,9 @@ TEST(Chaos, StreamingPrepareRelocatesAndFallsBackMidStream) {
 }
 
 TEST(Chaos, StreamingPrepareDeterministicUnderFaultsWithPool) {
-  // The conveyor orders streamed stores strictly by level, so the put-fault
-  // draw sequence — and therefore the entire prepared state — is a pure
-  // function of the seeds even with encode/store racing on a pool.
+  // Stores run strictly in level order, so the put-fault draw sequence —
+  // and therefore the entire prepared state — is a pure function of the
+  // seeds even with the encode striped over a pool.
   ThreadPool pool(4);
   const Dims dims{17, 17, 9};
   const auto field = data::scale_temperature(dims, 13);
@@ -444,11 +444,55 @@ TEST(Chaos, StreamingPrepareDeterministicUnderFaultsWithPool) {
   const auto [prep_b, rest_b] = run("stream_det_b");
   EXPECT_EQ(prep_a.put_retries, prep_b.put_retries);
   EXPECT_EQ(prep_a.relocations, prep_b.relocations);
-  EXPECT_EQ(prep_a.stream_fallback_puts, prep_b.stream_fallback_puts);
   EXPECT_EQ(prep_a.fragments_stored, prep_b.fragments_stored);
   EXPECT_EQ(prep_a.record.serialize(), prep_b.record.serialize());
   EXPECT_EQ(rest_a.data, rest_b.data);
   EXPECT_DOUBLE_EQ(rest_a.rel_error_bound, rest_b.rel_error_bound);
+}
+
+TEST(Chaos, PrepareSameStateWithAndWithoutPoolUnderPutFaults) {
+  // The pool only stripes each level's encode; the puts, their fault draws,
+  // retries and relocations must come out exactly as in a pool-free run.
+  ThreadPool pool(4);
+  const Dims dims{17, 17, 9};
+  const auto field = data::hurricane_temperature(dims, 14);
+  storage::FaultSpec spec;
+  spec.put_fail_prob = 0.10;
+  spec.seed = 5151;
+
+  struct State {
+    PrepareReport prep;
+    std::string record;
+    /// Fragment key -> (system, serialized fragment).
+    std::map<std::string, std::pair<std::string, Bytes>> fragments;
+  };
+  const auto run = [&](const std::string& tag, ThreadPool* p) {
+    World w(tag, chaos_config(), p);
+    storage::FaultInjector injector;
+    injector.set_all(w.cluster.size(), spec);
+    injector.install(w.cluster);
+    State st;
+    st.prep = w.pipeline->prepare(field, dims, "obj");
+    // Read back without faults, so the reads draw nothing.
+    for (u32 s = 0; s < w.cluster.size(); ++s)
+      w.cluster.system(s).attach_fault_profile(nullptr);
+    st.record = w.db->get("obj/obj").value_or("");
+    for (const auto& [key, sys] : w.db->scan_prefix("frag/obj/")) {
+      const auto frag = w.cluster.system(std::stoul(sys)).get(key);
+      st.fragments[key] = {sys, frag ? frag->serialize() : Bytes{}};
+    }
+    return st;
+  };
+
+  const State pooled = run("pool_vs_serial_a", &pool);
+  const State serial = run("pool_vs_serial_b", nullptr);
+  EXPECT_GT(pooled.prep.put_retries, 0u);  // the faults did land
+  EXPECT_FALSE(pooled.record.empty());
+  EXPECT_EQ(pooled.record, serial.record);
+  EXPECT_EQ(pooled.fragments, serial.fragments);
+  EXPECT_EQ(pooled.fragments.size(), pooled.prep.fragments_stored);
+  EXPECT_EQ(pooled.prep.put_retries, serial.prep.put_retries);
+  EXPECT_EQ(pooled.prep.relocations, serial.prep.relocations);
 }
 
 }  // namespace

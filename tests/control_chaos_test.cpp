@@ -135,7 +135,7 @@ TEST(ControlChaos, DriftReoptimizationRestoresAvailabilityMargin) {
   std::vector<f64> stale_error(names.size());
   std::vector<f64> stale_avail(names.size());
   for (u32 i = 0; i < names.size(); ++i) {
-    const auto rec = w.pipeline->snapshot_record(names[i]);
+    const auto rec = w.pipeline->lookup(names[i]);
     ASSERT_TRUE(rec.has_value());
     core::FtProblem pr;
     pr.n = 16;
@@ -166,7 +166,7 @@ TEST(ControlChaos, DriftReoptimizationRestoresAvailabilityMargin) {
   // restore is byte-identical with its bound intact.
   const auto probs_after = w.pipeline->failure_prob_estimates();
   for (u32 i = 0; i < names.size(); ++i) {
-    const auto rec = w.pipeline->snapshot_record(names[i]);
+    const auto rec = w.pipeline->lookup(names[i]);
     ASSERT_TRUE(rec.has_value());
     core::FtProblem pr;
     pr.n = 16;
@@ -201,7 +201,7 @@ void run_kill_drill(MigrationPoint kill_at, const std::string& tag) {
   w.pipeline->prepare(field, dims, "obj");
   const auto baseline = w.pipeline->restore("obj");
   ASSERT_EQ(baseline.levels_used, 4u);
-  const auto rec0 = w.pipeline->snapshot_record("obj");
+  const auto rec0 = w.pipeline->lookup("obj");
   ASSERT_TRUE(rec0.has_value());
 
   w.reopen_with_budget(kRaisedBudget);
@@ -243,7 +243,7 @@ void run_kill_drill(MigrationPoint kill_at, const std::string& tag) {
   }
   EXPECT_TRUE(migrated);
 
-  const auto rec1 = w.pipeline->snapshot_record("obj");
+  const auto rec1 = w.pipeline->lookup("obj");
   ASSERT_TRUE(rec1.has_value());
   EXPECT_GT(rec1->generation, rec0->generation);
   EXPECT_NE(rec1->ft, rec0->ft);
@@ -357,7 +357,7 @@ TEST(ControlChaos, PersistentStoreFailureRollsBackAndOldDataSurvives) {
 
   // The object still serves generation 0 and restores byte-identically; no
   // half-written new-generation fragments linger anywhere.
-  const auto rec = w.pipeline->snapshot_record("obj");
+  const auto rec = w.pipeline->lookup("obj");
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->generation, 0u);
   for (const auto& entry : controller.journal_scan()) {

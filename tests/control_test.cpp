@@ -518,7 +518,7 @@ TEST(ObjectRecordWire, V2RoundTripsGenerationAndPlan) {
   const Dims dims{17, 17, 9};
   const auto field = data::scale_temperature(dims, 3);
   w.pipeline->prepare(field, dims, "obj");
-  const auto rec = w.pipeline->snapshot_record("obj");
+  const auto rec = w.pipeline->lookup("obj");
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->generation, 0u);
   EXPECT_GT(rec->planned_p, 0.0);
@@ -541,7 +541,7 @@ TEST(ObjectRecordWire, V1RecordsDeserializeWithDefaults) {
   const Dims dims{17, 17, 9};
   const auto field = data::scale_temperature(dims, 4);
   w.pipeline->prepare(field, dims, "obj");
-  const auto rec = w.pipeline->snapshot_record("obj");
+  const auto rec = w.pipeline->lookup("obj");
   ASSERT_TRUE(rec.has_value());
 
   // A v1 record is the v2 wire minus the 20-byte control-plane tail
@@ -576,7 +576,7 @@ TEST(MigrationPrimitives, StoreFlipGcRoundTripIsByteIdentical) {
   const auto before = w.pipeline->restore("obj");
   ASSERT_EQ(before.levels_used, 4u);
 
-  const auto rec = w.pipeline->snapshot_record("obj");
+  const auto rec = w.pipeline->lookup("obj");
   ASSERT_TRUE(rec.has_value());
   core::FtConfig new_ft = rec->ft;
   new_ft[0] += 1;  // still strictly decreasing
@@ -603,7 +603,7 @@ TEST(MigrationPrimitives, StoreFlipGcRoundTripIsByteIdentical) {
 
   // Phase 2: atomic flip, then the old generation is garbage.
   w.pipeline->flip_generation("obj", 1, new_ft, 0.05, 1e-4);
-  const auto flipped_rec = w.pipeline->snapshot_record("obj");
+  const auto flipped_rec = w.pipeline->lookup("obj");
   ASSERT_TRUE(flipped_rec.has_value());
   EXPECT_EQ(flipped_rec->generation, 1u);
   EXPECT_EQ(flipped_rec->ft, new_ft);
@@ -627,7 +627,7 @@ TEST(MigrationPrimitives, PrepareOverwriteDropsPriorGenerations) {
   const Dims dims{17, 17, 9};
   const auto field = data::scale_temperature(dims, 9);
   w.pipeline->prepare(field, dims, "obj");
-  const auto rec = w.pipeline->snapshot_record("obj");
+  const auto rec = w.pipeline->lookup("obj");
   core::FtConfig new_ft = rec->ft;
   new_ft[0] += 1;
   for (u32 level = 0; level < 4; ++level) {
@@ -640,7 +640,7 @@ TEST(MigrationPrimitives, PrepareOverwriteDropsPriorGenerations) {
   // Re-preparing the object starts over at generation 0 and must leave no
   // generation-1 fragments behind.
   w.pipeline->prepare(field, dims, "obj");
-  const auto fresh = w.pipeline->snapshot_record("obj");
+  const auto fresh = w.pipeline->lookup("obj");
   ASSERT_TRUE(fresh.has_value());
   EXPECT_EQ(fresh->generation, 0u);
   for (u32 s = 0; s < w.cluster.size(); ++s)

@@ -528,79 +528,60 @@ TEST(Fragment, VerifyCatchesDamage) {
   EXPECT_FALSE(f.verify());
 }
 
-// --- stripe-ranged encode/decode vs the whole-payload paths ---
+// --- pooled (striped) encode vs the pool-free encode ---
 
 // Edge-case payload lengths: 1 byte (all padding), straddling the k=12 row
 // boundary (63/64/65 → fragment sizes 6/6/6 with varying padding), and a
 // multi-stripe payload one past a power of two.
 constexpr u64 kStripeLens[] = {1, 63, 64, 65, 4097};
 
-TEST(ReedSolomonStripes, StitchedEncodeMatchesWholePayloadEncode) {
-  const ReedSolomon rs(12, 4);
-  u64 seed = 40;
-  for (const u64 len : kStripeLens) {
-    const auto data = random_payload(len, seed++);
-    const auto whole = rs.encode(data, "obj", 2);
-    const u64 frag_size = rs.fragment_size(len);
-    for (const u64 stripe : {u64{64}, u64{1000}, frag_size}) {
-      auto frags = rs.make_fragments(len, "obj", 2);
-      // Walk the ranges backwards: stripe order must not matter.
-      u64 hi = frag_size;
-      while (hi > 0) {
-        const u64 lo = hi > stripe ? hi - stripe : 0;
-        rs.encode_stripe(data, lo, hi, frags);
-        hi = lo;
-      }
-      rs.finish_fragments(frags);
-      ASSERT_EQ(frags.size(), whole.size());
-      for (std::size_t i = 0; i < frags.size(); ++i) {
-        EXPECT_EQ(frags[i].serialize(), whole[i].serialize())
-            << "len " << len << " stripe " << stripe << " fragment " << i;
-        EXPECT_TRUE(frags[i].verify());
-      }
+// encode() stripes fragments over a pool in 32 KiB ranges once a fragment
+// reaches two of them.
+constexpr u64 kEncodeStripe = 32 * 1024;
+
+void expect_pooled_encode_matches_serial(const ReedSolomon& rs,
+                                         const std::vector<u8>& data) {
+  const auto serial = rs.encode(data, "obj", 2);
+  for (const u32 threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    const auto pooled = rs.encode(data, "obj", 2, &pool);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t i = 0; i < pooled.size(); ++i) {
+      EXPECT_EQ(pooled[i].serialize(), serial[i].serialize())
+          << "len " << data.size() << " threads " << threads << " fragment "
+          << i;
+      EXPECT_TRUE(pooled[i].verify());
     }
+    // Parity rows join the decode when the first m data fragments are lost.
+    const std::vector<Fragment> survivors(pooled.begin() + rs.m(),
+                                          pooled.end());
+    EXPECT_EQ(rs.decode(survivors), data) << "len " << data.size();
   }
 }
 
-TEST(ReedSolomonStripes, ClampedAndOutOfRangeStripesAreHarmless) {
+TEST(ReedSolomonStripes, StitchedEncodeMatchesWholePayloadEncode) {
   const ReedSolomon rs(12, 4);
-  const auto data = random_payload(65, 50);
-  const auto whole = rs.encode(data, "obj", 0);
-  const u64 frag_size = rs.fragment_size(data.size());
-  auto frags = rs.make_fragments(data.size(), "obj", 0);
-  rs.encode_stripe(data, 0, frag_size + 100, frags);  // clamped to frag_size
-  rs.encode_stripe(data, frag_size + 5, frag_size + 9, frags);  // no-op
-  rs.encode_stripe(data, 3, 3, frags);                          // empty range
-  rs.finish_fragments(frags);
-  for (std::size_t i = 0; i < frags.size(); ++i)
-    EXPECT_EQ(frags[i].serialize(), whole[i].serialize());
+  u64 seed = 40;
+  for (const u64 len : kStripeLens)
+    expect_pooled_encode_matches_serial(rs, random_payload(len, seed++));
 }
 
-TEST(ReedSolomonStripes, StitchedDecodeMatchesWholePayloadDecode) {
-  ThreadPool pool(4);
+TEST(ReedSolomonStripes, ClampedAndOutOfRangeStripesAreHarmless) {
+  // Fragment sizes just below, at and past two stripes, and one ending in a
+  // short tail stripe; each payload leaves 5 bytes of zero padding.
   const ReedSolomon rs(12, 4);
-  u64 seed = 60;
-  for (const u64 len : kStripeLens) {
-    const auto data = random_payload(len, seed++);
-    const auto frags = rs.encode(data, "obj", 1, &pool);
-    // Survivors: drop 4 data fragments so parity rows join the decode.
-    const std::vector<Fragment> survivors(frags.begin() + 4, frags.end());
-    const auto whole = rs.decode(survivors);
-    ASSERT_EQ(whole, data);
-    const u64 frag_size = rs.fragment_size(len);
-    for (const u64 stripe : {u64{64}, u64{1000}, frag_size}) {
-      std::vector<u8> rows(12 * frag_size);
-      for (u64 lo = 0; lo < frag_size; lo += stripe) {
-        const u64 hi = std::min(frag_size, lo + stripe);
-        std::vector<u8> slice(12 * (hi - lo));
-        rs.decode_stripe(survivors, lo, hi, slice);
-        for (u32 row = 0; row < 12; ++row)
-          std::copy_n(slice.begin() + row * (hi - lo), hi - lo,
-                      rows.begin() + row * frag_size + lo);
-      }
-      rows.resize(len);  // truncate padding, row-major == payload order
-      EXPECT_EQ(rows, whole) << "len " << len << " stripe " << stripe;
-    }
+  u64 seed = 50;
+  for (const u64 frag_size : {2 * kEncodeStripe - 1, 2 * kEncodeStripe,
+                              2 * kEncodeStripe + 1, 3 * kEncodeStripe + 7}) {
+    const auto data = random_payload(12 * frag_size - 5, seed++);
+    ASSERT_EQ(rs.fragment_size(data.size()), frag_size);
+    expect_pooled_encode_matches_serial(rs, data);
+    ThreadPool pool(4);
+    const auto frags = rs.encode(data, "obj", 2, &pool);
+    const auto& last_row = frags[11].payload;
+    EXPECT_TRUE(std::all_of(last_row.end() - 5, last_row.end(),
+                            [](u8 b) { return b == 0; }))
+        << "padding of fragment size " << frag_size;
   }
 }
 

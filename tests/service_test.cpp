@@ -252,7 +252,7 @@ TEST(ObjectService, TokenBucketRateLimitsByEstimatedBytes) {
   // Burst covers roughly one full restore; the refill rate is tiny, so the
   // second full-precision request must be rate-rejected with a positive
   // retry-after horizon.
-  const auto rec = w.pipeline->snapshot_record("obj");
+  const auto rec = w.pipeline->lookup("obj");
   u64 total = 0;
   for (const u64 b : rec->level_sizes) total += b;
   o.admit_rate_bytes_per_s = 1024.0;
@@ -354,7 +354,7 @@ TEST(ObjectService, BrownoutCoarsensReportsAndExits) {
   o.brownout_sustain_s = 0.2;
   ObjectService svc(*w.pipeline, o);
   const u32 levels =
-      static_cast<u32>(w.pipeline->snapshot_record("obj")->level_sizes.size());
+      static_cast<u32>(w.pipeline->lookup("obj")->level_sizes.size());
   // A long run of coarse (1-2 level) requests builds sustained backlog;
   // the full-precision requests queued behind them then dispatch while the
   // service is browned out, so their target prefix is the coarsened one —

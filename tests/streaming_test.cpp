@@ -1,242 +1,27 @@
-// Tests for the fragment-granular streaming dataflow: the bounded Channel,
-// StorageSystem::PutStream / get_range, and the byte-identity contract of
-// prepare and restore against a staged, stage-by-stage oracle at every
-// level prefix.
+// Tests for the prepare and restore dataflow: the byte-identity contract of
+// prepare and restore against a staged, stage-by-stage oracle at every level
+// prefix, and restore() as a one-shot deep refine.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 
 #include "rapids/core/ft_optimizer.hpp"
 #include "rapids/core/pipeline.hpp"
 #include "rapids/data/datasets.hpp"
 #include "rapids/data/stats.hpp"
-#include "rapids/ec/fragment.hpp"
 #include "rapids/kvstore/db.hpp"
-#include "rapids/parallel/channel.hpp"
 #include "rapids/parallel/thread_pool.hpp"
 #include "rapids/storage/failure.hpp"
 #include "rapids/storage/placement.hpp"
-#include "rapids/storage/storage_system.hpp"
-#include "rapids/util/rng.hpp"
 
 namespace rapids::core {
 namespace {
 
 namespace fs = std::filesystem;
 using mgard::Dims;
-
-// ---------------------------------------------------------------- Channel
-
-TEST(Channel, FifoOrderWithinCapacity) {
-  Channel<int> ch(3);
-  EXPECT_EQ(ch.capacity(), 3u);
-  for (int v : {1, 2, 3}) EXPECT_TRUE(ch.try_push(std::move(v)));
-  int overflow = 4;
-  EXPECT_FALSE(ch.try_push(std::move(overflow)));
-  EXPECT_EQ(overflow, 4);  // full: operand left intact
-  int out = 0;
-  for (int want : {1, 2, 3}) {
-    ASSERT_TRUE(ch.try_pop(out));
-    EXPECT_EQ(out, want);
-  }
-  EXPECT_FALSE(ch.try_pop(out));  // drained
-}
-
-TEST(Channel, CloseDeliversQueuedItemsThenReportsClosed) {
-  Channel<int> ch(4);
-  int a = 7, b = 8;
-  EXPECT_TRUE(ch.try_push(std::move(a)));
-  EXPECT_TRUE(ch.try_push(std::move(b)));
-  ch.close();
-  ch.close();  // idempotent
-  EXPECT_TRUE(ch.closed());
-  int rejected = 9;
-  EXPECT_FALSE(ch.try_push(std::move(rejected)));
-  EXPECT_FALSE(ch.push(10));
-  int out = 0;
-  using Wait = Channel<int>::Wait;
-  EXPECT_EQ(ch.pop_for(out, std::chrono::milliseconds(1)), Wait::kItem);
-  EXPECT_EQ(out, 7);
-  EXPECT_TRUE(ch.pop(out));
-  EXPECT_EQ(out, 8);
-  EXPECT_EQ(ch.pop_for(out, std::chrono::milliseconds(1)), Wait::kClosed);
-  EXPECT_FALSE(ch.pop(out));
-}
-
-TEST(Channel, TryPushAfterCloseLeavesOperandIntact) {
-  // Contract: try_push only moves from its operand on success, and "closed"
-  // is indistinguishable from "full" through the return value — the caller
-  // checks closed() when it needs to stop generating.
-  Channel<std::string> ch(4);
-  ch.close();
-  std::string item = "payload";
-  EXPECT_FALSE(ch.try_push(std::move(item)));
-  EXPECT_EQ(item, "payload");
-  EXPECT_TRUE(ch.closed());
-  EXPECT_EQ(ch.size(), 0u);  // nothing buffered post-close
-}
-
-TEST(Channel, ZeroCapacityClampsToOne) {
-  Channel<int> ch(0);
-  EXPECT_EQ(ch.capacity(), 1u);
-  EXPECT_TRUE(ch.try_push(1));
-  int two = 2;
-  EXPECT_FALSE(ch.try_push(std::move(two)));
-}
-
-TEST(Channel, CloseWakesBlockedProducerAndDropsItsItem) {
-  Channel<int> ch(1);
-  ASSERT_TRUE(ch.try_push(1));  // fill: the next push must block
-  std::atomic<bool> pushed{false};
-  std::atomic<bool> accepted{true};
-  std::thread producer([&] {
-    accepted = ch.push(2);  // blocks on the full window until close()
-    pushed = true;
-  });
-  while (ch.size() == 0) std::this_thread::yield();
-  ch.close();
-  producer.join();
-  EXPECT_TRUE(pushed);
-  EXPECT_FALSE(accepted);  // close() rejected the blocked push
-  // The consumer sees exactly the pre-close item, then closed-and-drained.
-  int out = 0;
-  EXPECT_TRUE(ch.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_FALSE(ch.pop(out));
-}
-
-TEST(Channel, CloseWakesWaitingPopForWithoutFullTimeout) {
-  Channel<int> ch(1);
-  std::atomic<int> result{-1};
-  std::thread consumer([&] {
-    int out = 0;
-    // Far longer than the test may take: only a close() wake explains an
-    // early kClosed return.
-    result = static_cast<int>(ch.pop_for(out, std::chrono::seconds(60)));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ch.close();
-  consumer.join();
-  EXPECT_EQ(result.load(), static_cast<int>(Channel<int>::Wait::kClosed));
-}
-
-TEST(Channel, PopForTimesOutOnOpenEmptyChannel) {
-  Channel<int> ch(1);
-  int out = 0;
-  EXPECT_EQ(ch.pop_for(out, std::chrono::milliseconds(1)),
-            Channel<int>::Wait::kTimeout);
-}
-
-TEST(Channel, BlockingProducerConsumerAcrossThreads) {
-  // Capacity 2 forces the producer to block on the full window; the consumer
-  // must still receive every item exactly once, in order.
-  Channel<int> ch(2);
-  constexpr int kItems = 200;
-  std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) EXPECT_TRUE(ch.push(i));
-    ch.close();
-  });
-  int expected = 0;
-  int out = 0;
-  while (ch.pop(out)) {
-    EXPECT_EQ(out, expected);
-    ++expected;
-  }
-  EXPECT_EQ(expected, kItems);
-  producer.join();
-}
-
-// --------------------------------------------- PutStream / ranged reads
-
-ec::Fragment make_fragment(const std::string& object, u32 level, u32 index,
-                           u64 bytes, u64 seed) {
-  ec::Fragment f;
-  f.id = {object, level, index};
-  f.k = 12;
-  f.m = 4;
-  f.level_bytes = bytes;
-  f.payload.resize(bytes);
-  Rng rng(seed);
-  for (auto& b : f.payload) b = static_cast<u8>(rng.next_u64());
-  f.payload_crc = ec::fragment_crc(f.payload);
-  return f;
-}
-
-TEST(PutStream, CommitMatchesWholeFragmentPut) {
-  storage::StorageSystem whole(0, "whole", 1e6, 0.0);
-  storage::StorageSystem streamed(1, "streamed", 1e6, 0.0);
-  const auto frag = make_fragment("obj", 2, 5, 10'000, 11);
-
-  whole.put(frag);
-  auto stream = streamed.begin_put(frag);
-  const std::span<const u8> payload(frag.payload);
-  for (u64 lo = 0; lo < payload.size(); lo += 4096) {
-    stream.append(payload.subspan(lo, std::min<u64>(4096, payload.size() - lo)));
-    EXPECT_EQ(stream.staged_bytes(), std::min<u64>(lo + 4096, payload.size()));
-  }
-  stream.commit();
-
-  const auto a = whole.get(frag.id.key());
-  const auto b = streamed.get(frag.id.key());
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->serialize(), b->serialize());
-  EXPECT_TRUE(b->verify());
-  EXPECT_EQ(whole.used_bytes(), streamed.used_bytes());
-}
-
-TEST(PutStream, AppendThrowsOnMidStreamOutageAndAbortLeavesNothing) {
-  storage::StorageSystem sys(0, "s0", 1e6, 0.0);
-  const auto frag = make_fragment("obj", 0, 1, 4096, 12);
-  auto stream = sys.begin_put(frag);
-  const std::span<const u8> payload(frag.payload);
-  stream.append(payload.first(1024));
-  sys.set_available(false);  // outage lands mid-stream
-  EXPECT_THROW(stream.append(payload.subspan(1024, 1024)), io_error);
-  stream.abort();
-  stream.abort();  // idempotent
-  EXPECT_EQ(stream.staged_bytes(), 0u);
-  sys.set_available(true);
-  EXPECT_FALSE(sys.has(frag.id.key()));  // nothing persisted, nothing charged
-  EXPECT_EQ(sys.used_bytes(), 0u);
-  EXPECT_EQ(sys.fragment_count(), 0u);
-}
-
-TEST(PutStream, GetRangeSlicesAndClampsPastEnd) {
-  storage::StorageSystem sys(0, "s0", 1e6, 0.0);
-  const auto frag = make_fragment("obj", 1, 3, 1000, 13);
-  sys.put(frag);
-  const std::string key = frag.id.key();
-
-  const auto whole = sys.get_range(key, 0, 1000);
-  ASSERT_TRUE(whole.has_value());
-  EXPECT_EQ(*whole, frag.payload);
-
-  const auto mid = sys.get_range(key, 100, 250);
-  ASSERT_TRUE(mid.has_value());
-  EXPECT_EQ(mid->size(), 250u);
-  EXPECT_TRUE(std::equal(mid->begin(), mid->end(), frag.payload.begin() + 100));
-
-  const auto tail = sys.get_range(key, 900, 500);  // clamps to the last 100
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->size(), 100u);
-  EXPECT_TRUE(std::equal(tail->begin(), tail->end(), frag.payload.begin() + 900));
-
-  const auto past = sys.get_range(key, 5000, 16);  // fully past the end
-  ASSERT_TRUE(past.has_value());
-  EXPECT_TRUE(past->empty());
-
-  EXPECT_FALSE(sys.get_range("frag/absent/0/0", 0, 16).has_value());
-
-  sys.set_available(false);
-  EXPECT_THROW(sys.get_range(key, 0, 16), io_error);
-}
 
 // ---------------------------------- byte identity against a staged oracle
 
@@ -265,7 +50,6 @@ PipelineConfig fast_config() {
   cfg.refactor.num_retrieval_levels = 4;
   cfg.refactor.target_rel_errors = {4e-3, 5e-4, 6e-5, 1e-6};
   cfg.aco.iterations = 20;
-  cfg.stream_stripe_bytes = 8 * 1024;  // small stripes: many per fragment
   return cfg;
 }
 
@@ -375,7 +159,6 @@ TEST(StreamingPrepare, ByteIdenticalToStagedWithAndWithoutPool) {
   EXPECT_EQ(pooled_report.record.serialize(), oracle.record);
   EXPECT_EQ(serial_report.record.serialize(), oracle.record);
   EXPECT_EQ(pooled_report.fragments_stored, oracle.fragments.size());
-  EXPECT_EQ(pooled_report.stream_fallback_puts, 0u);  // healthy cluster
   EXPECT_GT(pooled_report.prepare_latency, 0.0);
 }
 
